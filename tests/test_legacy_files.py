@@ -1,13 +1,21 @@
 """Run directories written by an earlier engine layout still load and resume.
 
-``tests/data/legacy_runs`` holds two finished ``fast``-backend run
-directories recorded before the unit-size and sized engines shared one
-backend family: ``unsized-fast`` (``Simulation``, scd, two extra probes)
-and ``sized-fast`` (``SizedSimulation`` with ``GeometricSize(3)``, jsq,
-two extra probes), each 700 rounds with checkpoints at rounds 256 and
-512 and the final ``result.json``.  Their pickles name the classes and
-state-dict keys of that layout (``queues`` / ``unit_queues``,
-``total_arrived`` / ``total_jobs`` ...).
+``tests/data/legacy_runs`` holds finished run directories recorded
+before the unit-size and sized engines shared one backend family:
+
+* ``unsized-fast`` -- ``Simulation``, scd, two extra probes;
+* ``sized-fast`` -- ``SizedSimulation`` with ``GeometricSize(3)``, jsq,
+  two extra probes;
+* ``unit-sized-reference`` / ``unit-sized-sharded2`` --
+  ``SizedSimulation`` with ``DeterministicSize(1)``, sed, whose
+  checkpoints hold the sized-job queues and stores that unit-size jobs
+  no longer use.
+
+The ``fast`` runs are 700 rounds with checkpoints at rounds 256 and 512,
+the others 400 rounds with one checkpoint at round 256; each keeps its
+final ``result.json``.  Their pickles name the classes and state-dict
+keys of that layout (``queues`` / ``unit_queues``, ``total_arrived`` /
+``total_jobs`` ...).
 
 Resuming from either checkpoint on today's code must write a
 ``result.json`` identical to the recorded one, and the recorded
@@ -27,7 +35,12 @@ from repro.sim.engine import SimulationResult
 from repro.sim.sized import SizedSimulationResult
 
 LEGACY = Path(__file__).parent / "data" / "legacy_runs"
-RUNS = {"unsized-fast": SimulationResult, "sized-fast": SizedSimulationResult}
+RUNS = {
+    "unsized-fast": SimulationResult,
+    "sized-fast": SizedSimulationResult,
+    "unit-sized-reference": SizedSimulationResult,
+    "unit-sized-sharded2": SizedSimulationResult,
+}
 
 
 def _drop_checkpoints_after(run: Run, last_round: int) -> None:
@@ -38,8 +51,15 @@ def _drop_checkpoints_after(run: Run, last_round: int) -> None:
             manifest_path.unlink()
 
 
-@pytest.mark.parametrize("resume_round", [256, 512])
-@pytest.mark.parametrize("name", sorted(RUNS))
+RESUMES = [
+    (name, resume_round)
+    for name in sorted(RUNS)
+    for resume_round in (256, 512)
+    if resume_round == 256 or "fast" in name
+]
+
+
+@pytest.mark.parametrize("name,resume_round", RESUMES)
 def test_legacy_checkpoint_resumes_bit_identically(tmp_path, name, resume_round):
     directory = tmp_path / name
     shutil.copytree(LEGACY / name, directory)
