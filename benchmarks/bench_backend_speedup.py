@@ -1,9 +1,10 @@
 """Engine-backend speedup benchmark: reference vs fast round kernel.
 
-Times identical simulations on both engine backends -- the unsized
-round kernel (:mod:`repro.sim.backends`) *and* the sized-job kernel
-(:mod:`repro.sim.sizedbackends`) -- over a grid of system sizes and
-policies, prints a comparison table, and writes a machine-readable perf
+Times identical simulations on both engine backends of the one
+:mod:`repro.sim.backends` registry -- for unit-size jobs (``Simulation``)
+*and* sized jobs (``SizedSimulation``, the ``--sized-*`` cells) -- over
+a grid of system sizes and policies, prints a comparison table, and
+writes a machine-readable perf
 record (``BENCH_engine.json``) so the repo's performance trajectory is
 tracked run over run.
 

@@ -52,9 +52,10 @@ def main() -> None:
     parser.add_argument(
         "--backend",
         default="fast",
-        choices=repro.available_sized_backends(),
-        help="sized engine round kernel (fast is bit-identical here: "
-        "all three contenders run through the dispatch fallback)",
+        metavar="BACKEND",
+        help="engine round kernel, see `repro backends` (fast is "
+        "bit-identical here: all three contenders run through the "
+        "dispatch fallback)",
     )
     args = parser.parse_args()
 

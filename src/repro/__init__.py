@@ -151,7 +151,7 @@ from .sim.probes import (
 )
 from .sim.seeding import derive_seed, spawn_streams
 from .sim.server import ServerQueue
-from .sim.sharding import ShardedBackend, ShardPlan, SizedShardedBackend
+from .sim.sharding import ShardedBackend, ShardPlan
 from .sim.sized import (
     BimodalSize,
     DeterministicSize,
@@ -160,15 +160,6 @@ from .sim.sized import (
     SizedServerQueue,
     SizedSimulation,
     SizedSimulationResult,
-)
-from .sim.sizedbackends import (
-    SizedEngineBackend,
-    SizedFastBackend,
-    SizedReferenceBackend,
-    available_sized_backends,
-    make_sized_backend,
-    register_sized_backend,
-    sized_backend_descriptions,
 )
 from .sim.service import (
     DeterministicService,
@@ -252,16 +243,8 @@ __all__ = [
     "make_backend",
     "available_backends",
     "backend_descriptions",
-    "SizedEngineBackend",
-    "SizedReferenceBackend",
-    "SizedFastBackend",
-    "register_sized_backend",
-    "make_sized_backend",
-    "available_sized_backends",
-    "sized_backend_descriptions",
     "ShardPlan",
     "ShardedBackend",
-    "SizedShardedBackend",
     "BatchQueueStore",
     "SizedBatchQueueStore",
     "ServerQueue",

@@ -112,10 +112,10 @@ def simulate_cell(
 
     The shared low-level path of both executors and the legacy
     ``run_simulation`` wrapper: :func:`build_cell_simulation` plus the
-    run.  ``backend`` names the round kernel in the engine's own
-    registry -- :mod:`repro.sim.backends` for unsized workloads,
-    :mod:`repro.sim.sizedbackends` for sized ones; unknown names fail
-    with that registry's error message.  ``probes`` are extra
+    run.  ``backend`` names the round kernel in the
+    :mod:`repro.sim.backends` registry, which serves unit-size and
+    sized workloads alike; unknown names fail with the registry's error
+    message.  ``probes`` are extra
     observability probes (names or ``ProbeSpec``) appended to the
     default collectors in either engine.
     """

@@ -137,11 +137,11 @@ class Experiment:
     rounds: int = 10_000
     warmup: int = 0
     base_seed: int = 0
-    #: Engine-backend registry name every cell runs on.  Unsized cells
-    #: resolve it in :mod:`repro.sim.backends`, sized cells in
-    #: :mod:`repro.sim.sizedbackends`; ``"reference"`` is the bit-exact
-    #: default, ``"fast"`` the vectorized kernel and ``"sharded:N"``
-    #: the server-partitioned kernel in both registries.
+    #: Engine-backend registry name every cell runs on (see
+    #: :mod:`repro.sim.backends`; every kernel runs unit-size and sized
+    #: workloads alike): ``"reference"`` is the bit-exact default,
+    #: ``"fast"`` the vectorized kernel and ``"sharded:N"`` the
+    #: server-partitioned kernel.
     backend: str = "reference"
     #: Extra observability probes run in every cell (registry names or
     #: :class:`~repro.sim.probes.ProbeSpec`); their summaries land in
@@ -188,32 +188,21 @@ class Experiment:
             raise ValueError("rounds must be >= 1")
         if not 0 <= self.warmup < self.rounds:
             raise ValueError("warmup must be in [0, rounds)")
-        # Validate the backend against exactly the registries the grid
-        # will use -- unsized cells resolve through the base engine
-        # registry, sized cells through the sized engine registry -- so
-        # unknown names fail at construction with the registry's own
-        # error message instead of mid-grid on a worker.
+        # Unknown backend names fail here with the registry's own
+        # message, and a backend's declared capabilities (the analytical
+        # mean-field engine feeds few probes and models unit-size jobs
+        # only) are checked against every workload -- not mid-grid on a
+        # worker.
         from repro.sim.backends import backend_capabilities, make_backend
-        from repro.sim.sizedbackends import make_sized_backend
 
-        if any(w.job_sizes is None for w in workloads):
-            make_backend(self.backend)
-            # Capability gate: a backend that cannot feed arbitrary
-            # probes (the analytical mean-field engine) must reject
-            # unsupported metrics here, not mid-grid on a worker.
-            caps = backend_capabilities(self.backend)
-            unsupported = [
-                s.label for s in metrics if not caps.allows_probe(s.name)
-            ]
-            if unsupported:
-                allowed = ", ".join(sorted(caps.probe_allowlist)) or "none"
-                raise ValueError(
-                    f"backend {self.backend!r} cannot feed probes "
-                    f"{unsupported} (capabilities: {caps.describe()}; "
-                    f"synthesizable probes: {allowed})"
-                )
-        if any(w.job_sizes is not None for w in workloads):
-            make_sized_backend(self.backend)
+        make_backend(self.backend)
+        caps = backend_capabilities(self.backend)
+        for workload in workloads:
+            refusal = caps.refusal(
+                self.backend, sizes=workload.job_sizes, probes=metrics
+            )
+            if refusal is not None:
+                raise ValueError(refusal)
 
     # -- grid enumeration --------------------------------------------------
 

@@ -1,7 +1,7 @@
 """The ``meanfield`` engine backend: fluid limits through the probe seam.
 
-:class:`MeanFieldBackend` consumes the exact same bound
-:class:`~repro.sim.engine.Simulation` every simulation kernel consumes
+:class:`MeanFieldBackend` consumes the exact same bound simulation
+(:class:`~repro.sim.engine.SimulationBase`) every simulation kernel consumes
 -- policy, arrival process, geometric service, scenario-modulated rate
 curves, probes -- but advances the deterministic fluid limit instead of
 sampling servers, so its cost is independent of ``n``: a million-server
@@ -20,6 +20,8 @@ What it honestly supports (and what it refuses):
 * probes ``windowed_mean`` / ``windowed_stability`` / ``server_stats``,
   whose summaries it synthesizes from the fluid state; probes needing
   discrete events are rejected;
+* unit-size jobs only (``Simulation``, or ``SizedSimulation`` with
+  ``DeterministicSize(1)``): the fluid state has no job-size dimension;
 * no checkpoint/resume: there is no kernel state to export, and the
   whole run costs less than one checkpoint write.  Capability flags
   (:meth:`capabilities`) make every one of these limits visible to
@@ -43,13 +45,13 @@ from ..sim.arrivals import PoissonArrivals
 from ..sim.backends import (
     BackendCapabilities,
     EngineBackend,
-    _make_result,
+    probe_context,
     register_backend,
 )
+from ..sim.blockdriver import RunState
 from ..sim.lifecycle import RunController
 from ..sim.metrics import QueueLengthSeries, ResponseTimeHistogram
 from ..sim.probes import (
-    ProbeContext,
     ProbeSpec,
     QueueSeriesProbe,
     ResponseTimeProbe,
@@ -72,6 +74,16 @@ _FACTOR_CHUNK = 16384
 #: configuration, or a depth= too shallow for the load), so the honest
 #: move is to refuse rather than report a bounded lie.
 _TRUNCATION_LIMIT = 0.05
+
+
+class _FluidState(RunState):
+    """Final fluid state: per-server figures rounded server by server.
+
+    The totals are rounded from the class sums instead -- summing the
+    per-server roundings would bias them by up to half a job per server.
+    """
+
+    __slots__ = ("units_in", "units_out", "units_queued")
 
 
 @register_backend("meanfield")
@@ -148,11 +160,17 @@ class MeanFieldBackend(EngineBackend):
             supports_probes=False,
             probe_allowlist=PROBE_ALLOWLIST,
             analytic=True,
+            sized_jobs=False,
         )
 
     # ------------------------------------------------------------------
     def _validate(self, sim) -> tuple[np.ndarray, object, int | None]:
         """Check the bound simulation is inside the fluid model's reach."""
+        refusal = self.capabilities().refusal(
+            self.name, sizes=sim.sizes, probes=[ProbeSpec.of(p) for p in sim.probes]
+        )
+        if refusal is not None:
+            raise ValueError(refusal)
         policy = sim.policy
         if isinstance(policy, ChurnPolicyAdapter):
             raise ValueError(
@@ -176,15 +194,6 @@ class MeanFieldBackend(EngineBackend):
                 f"meanfield backend needs the geometric service model, "
                 f"got {type(sim.service).__name__}"
             )
-        for spec in sim.config.probes:
-            spec = ProbeSpec.of(spec)
-            if spec.name not in PROBE_ALLOWLIST:
-                allowed = ", ".join(sorted(PROBE_ALLOWLIST))
-                raise ValueError(
-                    f"meanfield backend cannot feed probe {spec.name!r} "
-                    f"(no discrete events to observe); synthesizable "
-                    f"probes: {allowed}"
-                )
         return np.asarray(lambdas, dtype=np.float64), curve, choices
 
     # ------------------------------------------------------------------
@@ -195,10 +204,9 @@ class MeanFieldBackend(EngineBackend):
                 "(no kernel state to export); run it without a lifecycle "
                 "controller"
             )
-        config = sim.config
         lambdas, curve, choices = self._validate(sim)
         n = sim.rates.size
-        rounds = config.rounds
+        rounds = sim.rounds
         lam_total = float(lambdas.sum())
 
         classes = ServerClasses.from_rates(sim.rates, self.max_classes)
@@ -259,7 +267,7 @@ class MeanFieldBackend(EngineBackend):
                 else:
                     joins = np.zeros_like(S)
                 recv_class += joins.sum(axis=1)
-                if t >= config.warmup:
+                if t >= sim.warmup:
                     joins_acc += joins
                 S, dep = model.depart(S)
                 dep_class = dep.sum(axis=1)
@@ -316,12 +324,11 @@ class MeanFieldBackend(EngineBackend):
         done_class: np.ndarray,
         max_level: np.ndarray,
     ):
-        """Shape the fluid trajectory into a SimulationResult."""
-        config = sim.config
+        """Shape the fluid trajectory into the simulation's result."""
         classes = model.classes
         n = classes.num_servers
         n_class = classes.gamma * n
-        rounds = config.rounds
+        rounds = sim.rounds
         K = model.depth
 
         # Response-time histogram: jobs joining position k at a class-j
@@ -339,7 +346,7 @@ class MeanFieldBackend(EngineBackend):
 
         series = None
         queue_ints = np.rint(queue_totals).astype(np.int64)
-        if config.track_queue_series:
+        if sim.track_queue_series:
             series = QueueLengthSeries(rounds_hint=rounds)
             series.record_many(queue_ints)
 
@@ -347,15 +354,8 @@ class MeanFieldBackend(EngineBackend):
         if series is not None:
             probes["queue_series"] = QueueSeriesProbe(series)
 
-        ctx = ProbeContext(
-            num_servers=n,
-            num_dispatchers=sim.arrivals.num_dispatchers,
-            rates=sim.rates,
-            rounds=rounds,
-            warmup=config.warmup,
-            sized=False,
-        )
-        for spec in config.probes:
+        ctx = probe_context(sim)
+        for spec in sim.probes:
             spec = ProbeSpec.of(spec)
             probe = spec.build()
             probe.bind(ctx)
@@ -373,26 +373,21 @@ class MeanFieldBackend(EngineBackend):
                     pmf_time=pmf_time,
                     classes=classes,
                     rounds=rounds,
-                    warmup=config.warmup,
+                    warmup=sim.warmup,
                 )
             )
             probes[spec.label] = probe
 
-        received = np.rint(classes.expand(recv_class)).astype(np.int64)
-        departed = np.rint(classes.expand(done_class)).astype(np.int64)
-        final_queues = np.rint(classes.expand(S.sum(axis=1))).astype(np.int64)
-        return _make_result(
-            sim,
-            histogram=histogram,
-            queue_series=series,
-            total_arrived=int(round(float(n_class @ recv_class))),
-            total_departed=int(round(float(n_class @ done_class))),
-            final_queued=int(queue_ints[-1]) if rounds else 0,
-            final_queues=final_queues,
-            server_received=received,
-            server_departed=departed,
-            probes=probes,
+        state = _FluidState(
+            np.rint(classes.expand(S.sum(axis=1))).astype(np.int64),
+            int(round(float(n_class @ recv_class))),
+            np.rint(classes.expand(recv_class)).astype(np.int64),
+            np.rint(classes.expand(done_class)).astype(np.int64),
         )
+        state.units_in = state.total_jobs
+        state.units_out = int(round(float(n_class @ done_class)))
+        state.units_queued = int(queue_ints[-1]) if rounds else 0
+        return sim._result(probes, state)
 
     def _probe_state(
         self,

@@ -22,6 +22,7 @@ produces bit-identical results to an uninterrupted run.
 
 from __future__ import annotations
 
+import copy
 import json
 import pickle
 from pathlib import Path
@@ -32,7 +33,8 @@ from repro.analysis.persistence import (
     sized_result_from_dict,
     sized_result_to_dict,
 )
-from repro.sim.backends import _CHUNK_ROUNDS
+from repro.sim.backends import backend_capabilities
+from repro.sim.blockdriver import BLOCK_ROUNDS
 from repro.sim.engine import Simulation, SimulationResult
 from repro.sim.lifecycle import RunController
 from repro.sim.sized import SizedSimulation, SizedSimulationResult
@@ -48,9 +50,6 @@ __all__ = [
     "probe_summaries_from_state",
 ]
 
-#: Rounds per kernel block == the checkpoint alignment grain.
-BLOCK_ROUNDS = _CHUNK_ROUNDS
-
 _RUN_FORMAT_VERSION = 1
 
 
@@ -64,48 +63,26 @@ class LegLimitReached(Exception):
     """
 
 
-def _backend_capabilities(engine: str, backend: str):
-    """Capability flags from the registry matching the sim's engine."""
-    if engine == "sized":
-        from repro.sim.sizedbackends import sized_backend_capabilities
-
-        return sized_backend_capabilities(backend)
-    from repro.sim.backends import backend_capabilities
-
-    return backend_capabilities(backend)
-
-
 def _describe_sim(sim) -> dict:
     """Manifest-facing description of either engine's simulation."""
-    if isinstance(sim, SizedSimulation):
-        return {
-            "engine": "sized",
-            "backend": sim.backend,
-            "policy": sim.policy.name,
-            "rounds": sim.rounds,
-            "warmup": sim.warmup,
-            "seed": sim.seed,
-        }
-    config = sim.config
     return {
-        "engine": "unsized",
-        "backend": config.backend,
+        "engine": "sized" if isinstance(sim, SizedSimulation) else "unsized",
+        "backend": sim.backend,
         "policy": sim.policy.name,
-        "rounds": config.rounds,
-        "warmup": config.warmup,
-        "seed": config.seed,
+        "rounds": sim.rounds,
+        "warmup": sim.warmup,
+        "seed": sim.seed,
     }
 
 
 def probe_summaries_from_state(kernel_state: dict) -> dict[str, dict]:
-    """Live probe summaries from an exported kernel state dict.
+    """Probe summaries from an exported kernel state dict.
 
-    Works on *throwaway* copies only (unpickle the checkpoint blob
-    first): folding sharded probe maps mutates the shard-0 probes in
-    place.  Single-kernel states carry a ``probes`` ProbeSet directly;
-    sharded states are folded across their shard snapshots exactly as
-    the kernel does at end of run, then overlaid with the
-    coordinator-side probes.
+    Safe on live kernel state: it only reads.  Single-kernel states
+    carry a ``probes`` ProbeSet directly; sharded states are folded
+    across their shard snapshots -- on copies, since folding merges into
+    the first shard's probes -- exactly as the kernel does at end of
+    run, then overlaid with the coordinator-side probes.
     """
     if "probes" in kernel_state:
         probe_map = kernel_state["probes"].as_dict()
@@ -113,7 +90,9 @@ def probe_summaries_from_state(kernel_state: dict) -> dict[str, dict]:
         from repro.sim.sharding import _fold_shards
 
         probe_map = _fold_shards(
-            [shard["probes"].as_dict() for shard in kernel_state["shards"]]
+            copy.deepcopy(
+                [shard["probes"].as_dict() for shard in kernel_state["shards"]]
+            )
         )
         probe_map = {**probe_map, **kernel_state["coordinator_probes"].as_dict()}
     return {label: probe.summary() for label, probe in probe_map.items()}
@@ -123,8 +102,8 @@ class CheckpointController(RunController):
     """Lifecycle controller that checkpoints every N blocks and narrates.
 
     Emits ``leg-completed`` at each checkpoint boundary, then
-    ``probe-snapshot`` (summaries computed from a throwaway unpickled
-    copy of the blob, never the live kernel state) and
+    ``probe-snapshot`` (summaries read from the exported kernel state
+    before it is pickled) and
     ``checkpoint-written`` once the snapshot is committed.  With
     ``max_legs`` set, raises :class:`LegLimitReached` after that many
     checkpoints.  ``keep`` applies the retention policy of
@@ -156,7 +135,7 @@ class CheckpointController(RunController):
         self._store = store
         self._telemetry = telemetry
         self._engine = _describe_sim(sim)["engine"]
-        self._rounds = _describe_sim(sim)["rounds"]
+        self._rounds = sim.rounds
         self._stride = int(checkpoint_every) * BLOCK_ROUNDS
         self.start_round = int(start_round)
         self._state = state
@@ -173,23 +152,21 @@ class CheckpointController(RunController):
             return  # final block: the kernel's own result is the artifact
         if next_round % self._stride:
             return
+        kernel = export()
+        summaries = probe_summaries_from_state(kernel)
         blob = pickle.dumps(
             {
                 "round": next_round,
                 "engine": self._engine,
                 "sim": self._sim,
-                "kernel": export(),
+                "kernel": kernel,
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         self._telemetry.emit(
             "leg-completed", round=next_round, rounds=self._rounds
         )
-        self._telemetry.emit(
-            "probe-snapshot",
-            round=next_round,
-            summaries=probe_summaries_from_state(pickle.loads(blob)["kernel"]),
-        )
+        self._telemetry.emit("probe-snapshot", round=next_round, summaries=summaries)
         manifest = self._store.write(
             next_round, blob, meta={"engine": self._engine}
         )
@@ -258,13 +235,12 @@ class Run:
             raise ValueError("checkpoint_every must be >= 1")
         if keep is not None and int(keep) < 1:
             raise ValueError("keep must be >= 1")
-        described = _describe_sim(sim)
-        caps = _backend_capabilities(described["engine"], described["backend"])
-        if not caps.supports_checkpoint:
+        refusal = backend_capabilities(sim.backend).refusal(
+            sim.backend, sizes=sim.sizes, probes=sim.probes, checkpoint=True
+        )
+        if refusal is not None:
             raise ValueError(
-                f"backend {described['backend']!r} does not support "
-                f"checkpoint/resume (capabilities: {caps.describe()}); "
-                f"run it directly instead of through a run directory"
+                f"{refusal}; run it directly instead of through a run directory"
             )
         run = cls(directory)
         if run.manifest_path.exists():

@@ -111,7 +111,10 @@ class FederationCoordinator:
         self._leases: dict[str, _Lease] = {}
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
-        self._running = False
+        #: Every open connection, registered or not, so stop() can wake
+        #: each handler blocked in recv().
+        self._channels: set[MessageChannel] = set()
+        self._stopping = threading.Event()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -122,7 +125,7 @@ class FederationCoordinator:
         listener.listen(64)
         self._listener = listener
         self._port = listener.getsockname()[1]
-        self._running = True
+        self._stopping.clear()
         for target, name in (
             (self._accept_loop, "federation-accept"),
             (self._monitor_loop, "federation-monitor"),
@@ -136,38 +139,47 @@ class FederationCoordinator:
         return (self._host, self._port)
 
     def stop(self) -> None:
-        self._running = False
+        self._stopping.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does.
             try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already closed
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
                 pass
+            self._listener.close()
         with self._lock:
-            workers = list(self._workers.values())
-        for worker in workers:
-            worker.channel.close()
+            channels = list(self._channels)
+        for channel in channels:
+            channel.close()
         for thread in list(self._threads):
             thread.join(timeout=5)
 
     # -- accept / per-connection service ----------------------------------
 
     def _accept_loop(self) -> None:
-        while self._running:
+        while not self._stopping.is_set():
             try:
                 sock, _peer = self._listener.accept()
             except OSError:
-                return  # listener closed by stop()
+                return  # listener shut down by stop()
+            channel = MessageChannel(sock)
+            with self._lock:
+                self._channels.add(channel)
             thread = threading.Thread(
                 target=self._serve_connection,
-                args=(MessageChannel(sock),),
+                args=(channel,),
                 name="federation-conn",
                 daemon=True,
             )
             thread.start()
+            self._threads = [t for t in self._threads if t.is_alive()]
             self._threads.append(thread)
 
     def _serve_connection(self, channel: MessageChannel) -> None:
         worker: _Worker | None = None
+        if self._stopping.is_set():  # accepted just as stop() swept channels
+            channel.close()
         try:
             while True:
                 message = channel.recv()
@@ -204,6 +216,8 @@ class FederationCoordinator:
             if worker is not None:
                 self._worker_lost(worker)
             channel.close()
+            with self._lock:
+                self._channels.discard(channel)
 
     # -- message handlers --------------------------------------------------
 
@@ -323,8 +337,7 @@ class FederationCoordinator:
 
     def _monitor_loop(self) -> None:
         deadline = self.heartbeat_interval * self.heartbeat_misses
-        while self._running:
-            time.sleep(self.heartbeat_interval / 2)
+        while not self._stopping.wait(self.heartbeat_interval / 2):
             now = time.monotonic()
             with self._lock:
                 silent = [

@@ -1,13 +1,12 @@
 """Shared machinery for the engine-backend and probe registries.
 
-:mod:`repro.sim.backends` (unsized round kernels),
-:mod:`repro.sim.sizedbackends` (sized round kernels) and
-:mod:`repro.sim.probes` (observability probes) expose the same
-name -> factory surface: a class decorator to register, a ``make``
-resolver accepting names or instances, and sorted name/description
-listings for the CLI.  Keeping that behavior in one place means the
-registries cannot drift (case handling, duplicate detection, error
-shapes) and a fourth registry costs one instantiation.
+:mod:`repro.sim.backends` (round kernels) and :mod:`repro.sim.probes`
+(observability probes) expose the same name -> factory surface: a class
+decorator to register, a ``make`` resolver accepting names or
+instances, and sorted name/description listings for the CLI.  Keeping
+that behavior in one place means the registries cannot drift (case
+handling, duplicate detection, error shapes) and another registry costs
+one instantiation.
 """
 
 from __future__ import annotations
@@ -24,16 +23,16 @@ __all__ = ["BackendCapabilities", "BackendRegistry"]
 class BackendCapabilities:
     """What one engine backend can honestly promise.
 
-    The simulation kernels (reference/fast/compiled/sharded, both
-    engines) checkpoint at block boundaries and feed every registered
-    probe, so the default flags are all-True and nothing changes for
+    The simulation kernels (reference/fast/compiled/sharded) checkpoint
+    at block boundaries, feed every registered probe and run any job
+    sizes, so the default flags are all-True and nothing changes for
     them.  Analytical backends (the mean-field fluid engine) have no
     RNG streams, no block-aligned kernel state and no discrete events,
-    so they declare themselves out of the checkpoint path and restrict
-    probes to the summaries they can synthesize from their own state.
-    ``Experiment`` construction, ``Run.create`` and the service's
-    submission validator consult these flags to fail fast instead of
-    mid-run.
+    so they declare themselves out of the checkpoint path, restrict
+    probes to the summaries they can synthesize from their own state
+    and model unit-size jobs only.  ``Experiment`` construction,
+    ``Run.create`` and the service's submission validator consult these
+    flags (:meth:`refusal`) to fail fast instead of mid-run.
     """
 
     #: The kernel exports block-aligned state (``repro run`` / resume /
@@ -49,10 +48,48 @@ class BackendCapabilities:
     #: change the result (``repro compare`` runs one rep instead of an
     #: ensemble).
     analytic: bool = False
+    #: The kernel runs jobs of any size.  When False only unit-size jobs
+    #: (``DeterministicSize(1)`` or no size distribution) work.
+    sized_jobs: bool = True
 
     def allows_probe(self, name: str) -> bool:
         """True when the backend can feed (or synthesize) probe ``name``."""
         return self.supports_probes or name in self.probe_allowlist
+
+    def refusal(
+        self,
+        backend: str,
+        *,
+        sizes=None,
+        probes=(),
+        checkpoint: bool = False,
+    ) -> str | None:
+        """Why ``backend`` cannot run this workload, or ``None``.
+
+        ``sizes`` is the job-size distribution (``None``: unit-size
+        jobs), ``probes`` the requested probe specs, and ``checkpoint``
+        whether the run must export block-aligned state.
+        """
+        if not (self.sized_jobs or sizes is None or getattr(sizes, "is_unit", False)):
+            return (
+                f"backend {backend!r} models unit-size jobs only and cannot "
+                f"run {type(sizes).__name__} job sizes (capabilities: "
+                f"{self.describe()})"
+            )
+        unsupported = [s.label for s in probes if not self.allows_probe(s.name)]
+        if unsupported:
+            allowed = ", ".join(sorted(self.probe_allowlist)) or "none"
+            return (
+                f"backend {backend!r} cannot feed probes {unsupported} "
+                f"(capabilities: {self.describe()}; synthesizable probes: "
+                f"{allowed})"
+            )
+        if checkpoint and not self.supports_checkpoint:
+            return (
+                f"backend {backend!r} does not support checkpoint/resume "
+                f"(capabilities: {self.describe()})"
+            )
+        return None
 
     def describe(self) -> str:
         """Compact capability column for ``repro backends`` listings."""
@@ -64,6 +101,8 @@ class BackendCapabilities:
                 else "no-probes"
             ),
         ]
+        if not self.sized_jobs:
+            parts.append("unit-only")
         if self.analytic:
             parts.append("analytic")
         return ",".join(parts)
@@ -76,7 +115,7 @@ class BackendRegistry(Generic[T]):
     ----------
     kind:
         Human label used in error messages, e.g. ``"engine backend"``
-        or ``"sized engine backend"``.
+        or ``"probe"``.
     plural:
         Label for the known-names listing in errors, e.g. ``"backends"``.
     base:

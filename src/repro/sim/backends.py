@@ -1,55 +1,63 @@
-"""Pluggable round-kernel backends for the simulation engine.
+"""Pluggable round-kernel backends: one registry for every job kind.
 
 The three-phase round model (arrivals, dispatching, departures) admits
 more than one execution strategy, and this module is the seam between
-the model and its implementations:
+the model and its implementations.  Every backend runs any
+:class:`~repro.sim.engine.SimulationBase` -- :class:`~repro.sim.engine.Simulation`
+(unit-size jobs, the paper's model) and
+:class:`~repro.sim.sized.SizedSimulation` (jobs with work-unit sizes)
+alike -- and picks the unit-size or sized path from the simulation's
+job-size distribution alone (``sim.unit_jobs``; ``DeterministicSize(1)``
+is unit-size):
 
 ``reference``
     The original per-object loop -- one ``policy.dispatch`` call per
-    dispatcher, one :class:`~repro.sim.server.ServerQueue` per server.
-    Simple, obviously correct, and the bit-exact default.
+    dispatcher, one FIFO queue object per server
+    (:class:`~repro.sim.server.ServerQueue` batches for unit-size jobs,
+    :class:`~repro.sim.sized.SizedServerQueue` jobs otherwise).  Simple,
+    obviously correct, and the bit-exact default.
 
 ``fast``
-    The vectorized kernel: a whole round's dispatching goes through the
-    batch protocol :meth:`repro.policies.base.Policy.dispatch_round`,
-    arrivals land in an array-backed
-    :class:`~repro.sim.batchstore.BatchQueueStore`, and the departure
-    phase drains *all* busy servers in lock-step with
-    :meth:`~repro.sim.metrics.ResponseTimeHistogram.record_many` bulk
-    recording.  Bit-identical to ``reference`` for deterministic
-    policies and for any policy using the base-class ``dispatch_round``
-    fallback; statistically equivalent for policies with native batched
-    sampling (they consume their RNG stream in different-sized gulps).
+    The vectorized kernel (:mod:`repro.sim.blockdriver`): a whole
+    round's dispatching goes through the batch protocol
+    :meth:`repro.policies.base.Policy.dispatch_round`, only per-server
+    totals update per round, and FIFO departures are resolved a block
+    at a time by an array-backed store
+    (:class:`~repro.sim.batchstore.BatchQueueStore` for unit-size jobs,
+    :class:`~repro.sim.batchstore.SizedBatchQueueStore` otherwise).
+    Bit-identical to ``reference`` for deterministic policies and for
+    any policy using the base-class ``dispatch_round`` fallback;
+    statistically equivalent for policies with native batched sampling.
+
+``compiled``
+    The fast kernel with numba-jitted stores and, for ``rr``/``wrr`` on
+    unit-size jobs, a native whole-block round loop
+    (:mod:`repro.sim.compiled`).
 
 ``sharded``
-    The server-partitioned kernel (:mod:`repro.sim.sharding`): the fast
-    round loop with departures resolved by per-shard batch stores and
-    partitionable probes folded at end of run.  Parameterized through
-    the name (``sharded:4``, ``sharded:4:process``); bit-identical to
-    ``fast`` for deterministic policies at every shard count.
+    The server-partitioned kernel (:mod:`repro.sim.sharding`),
+    parameterized through the name (``sharded:4``,
+    ``sharded:4:process``); bit-identical to ``fast`` for deterministic
+    policies at every shard count.
+
+``meanfield``
+    The fluid-limit engine (:mod:`repro.meanfield`); unit-size jobs
+    only, declared through :class:`BackendCapabilities`.
 
 Backends are registered by name (mirroring the policy registry) so
-experiments and the CLI can select them as plain strings; future scaling
-work (async round pipelines, compiled kernels) plugs in as additional
-registrations without touching the engine.
+experiments and the CLI can select them as plain strings.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._registry import BackendCapabilities, BackendRegistry
-from .batchstore import BatchQueueStore
-from .blockdriver import (
-    BLOCK_ROUNDS,
-    UnsizedBlock,
-    UnsizedRunState,
-    drive_unsized,
-)
-from .lifecycle import RunController, validate_start_round
+from .batchstore import make_store
+from .blockdriver import BLOCK_ROUNDS, Block, RunState, drive, resume
+from .lifecycle import RunController
 from .probes import (
     BlockRecorder,
     ProbeContext,
@@ -58,9 +66,6 @@ from .probes import (
     build_probe_set,
 )
 from .server import ServerQueue
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine resolves us)
-    from .engine import Simulation, SimulationResult
 
 __all__ = [
     "BackendCapabilities",
@@ -76,7 +81,7 @@ __all__ = [
 
 
 class EngineBackend(ABC):
-    """One way of executing all rounds of a bound :class:`Simulation`."""
+    """One way of executing all rounds of a bound simulation."""
 
     #: Registry name, e.g. ``"reference"`` or ``"fast"``.
     name: str = "abstract"
@@ -84,10 +89,8 @@ class EngineBackend(ABC):
     description: str = ""
 
     @abstractmethod
-    def run(
-        self, sim: "Simulation", controller: RunController | None = None
-    ) -> "SimulationResult":
-        """Execute ``sim.config.rounds`` rounds and collect the metrics.
+    def run(self, sim, controller: RunController | None = None):
+        """Execute ``sim.rounds`` rounds and return ``sim``'s result.
 
         ``controller`` is the optional run-lifecycle seam
         (:mod:`repro.sim.lifecycle`): kernels honor its ``start_round``
@@ -98,7 +101,7 @@ class EngineBackend(ABC):
 
     @classmethod
     def capabilities(cls) -> BackendCapabilities:
-        """Capability flags (checkpointing, probes) this backend honors.
+        """Capability flags (checkpointing, probes, job sizes) honored.
 
         The simulation kernels inherit the all-True defaults; analytical
         backends override this to declare what they genuinely support so
@@ -126,27 +129,21 @@ backend_descriptions = _REGISTRY.descriptions
 backend_capabilities = _REGISTRY.capabilities
 
 
-def _make_result(sim: "Simulation", **kwargs) -> "SimulationResult":
-    """Assemble a SimulationResult from a finished backend's state."""
-    from .engine import SimulationResult
+def probe_context(sim) -> ProbeContext:
+    """The run coordinates every probe of ``sim`` binds to."""
+    return ProbeContext(
+        num_servers=sim.rates.size,
+        num_dispatchers=sim.arrivals.num_dispatchers,
+        rates=sim.rates,
+        rounds=sim.rounds,
+        warmup=sim.warmup,
+    )
 
-    return SimulationResult(policy_name=sim.policy.name, config=sim.config, **kwargs)
 
-
-def _probe_set_for(sim: "Simulation") -> ProbeSet:
-    """Default collectors plus the config's extra probes, bound to the run."""
-    config = sim.config
+def probe_set_for(sim) -> ProbeSet:
+    """Default collectors plus the run's extra probes, bound to the run."""
     return build_probe_set(
-        ProbeContext(
-            num_servers=sim.rates.size,
-            num_dispatchers=sim.arrivals.num_dispatchers,
-            rates=sim.rates,
-            rounds=config.rounds,
-            warmup=config.warmup,
-            sized=False,
-        ),
-        config.probes,
-        track_queue_series=config.track_queue_series,
+        probe_context(sim), sim.probes, track_queue_series=sim.track_queue_series
     )
 
 
@@ -160,55 +157,44 @@ class ReferenceBackend(EngineBackend):
         "the simple, bit-exact default"
     )
 
-    def run(
-        self, sim: "Simulation", controller: RunController | None = None
-    ) -> "SimulationResult":
-        config = sim.config
+    def run(self, sim, controller: RunController | None = None):
+        from .sized import SizedServerQueue
+
         policy = sim.policy
         arrivals = sim.arrivals
-        service = sim.service
         arrival_rng = sim._streams.arrivals
         departure_rng = sim._streams.departures
-
+        unit = sim.unit_jobs
         n = sim.rates.size
         m = arrivals.num_dispatchers
-        start_round = 0
-        state = None
-        if controller is not None:
-            start_round = validate_start_round(
-                controller.start_round, config.rounds, _CHUNK_ROUNDS
-            )
-            state = controller.initial_state()
+        start_round, state = resume(controller, sim.rounds, unit)
         if state is not None:
             servers = state["servers"]
-            queues = state["queues"]
             probes = state["probes"]
-            total_arrived = state["total_arrived"]
-            total_departed = state["total_departed"]
-            server_received = state["server_received"]
-            server_departed = state["server_departed"]
         else:
-            servers = [ServerQueue() for _ in range(n)]
-            queues = np.zeros(n, dtype=np.int64)
-            probes = _probe_set_for(sim)
-            total_arrived = 0
-            total_departed = 0
-            server_received = np.zeros(n, dtype=np.int64)
-            server_departed = np.zeros(n, dtype=np.int64)
+            queue_class = ServerQueue if unit else SizedServerQueue
+            servers = [queue_class() for _ in range(n)]
+            probes = probe_set_for(sim)
+        run_state = RunState.restore(state, n)
+        queues = run_state.queues
         histogram = probes.histogram
         series = probes.queue_series
         # A fresh recorder is correct on resume: its buffer is empty at
         # every block boundary (it auto-flushes exactly there).
-        recorder = BlockRecorder(probes, _CHUNK_ROUNDS)
+        recorder = BlockRecorder(probes, BLOCK_ROUNDS)
         tee = ResponseTee(probes, histogram) if probes.wants_responses else None
 
-        for t in range(start_round, config.rounds):
+        def export_state() -> dict:
+            return {"servers": servers, "probes": probes, **run_state.export()}
+
+        for t in range(start_round, sim.rounds):
             # Phase 1: arrivals.
             batch = arrivals.sample(arrival_rng, t)
             round_total = int(batch.sum())
-            total_arrived += round_total
+            run_state.total_jobs += round_total
 
-            # Phase 2: dispatching (independent decisions, shared snapshot).
+            # Phase 2: dispatching (independent decisions, shared
+            # snapshot: queue updates wait until every decision is made).
             policy.begin_round(t, queues)
             received = None
             if round_total:
@@ -218,29 +204,41 @@ class ReferenceBackend(EngineBackend):
                     k = int(batch[d])
                     if k == 0:
                         continue
+                    if unit:
+                        received += policy.dispatch(d, k)
+                        continue
+                    # Sizes are workload randomness: drawn for the whole
+                    # batch *before* placement from the arrival stream, so
+                    # the realized sizes (and the stream position) are
+                    # identical whatever the policy decides.
+                    job_sizes = sim.sizes.sample(arrival_rng, k)
                     counts = policy.dispatch(d, k)
-                    received += counts
-                for s in np.flatnonzero(received):
-                    servers[s].admit(t, int(received[s]))
+                    start = 0
+                    for s in np.flatnonzero(counts):
+                        stop = start + int(counts[s])
+                        chunk = job_sizes[start:stop]
+                        servers[s].admit(t, chunk)
+                        received[s] += int(chunk.sum())
+                        start = stop
+                if unit:
+                    for s in np.flatnonzero(received):
+                        servers[s].admit(t, int(received[s]))
                 queues += received
-                server_received += received
+                run_state.server_received += received
 
             # Phase 3: departures.
-            capacities = service.sample(departure_rng, t)
-            sink = histogram if t >= config.warmup else None
+            capacities = sim.service.sample(departure_rng, t)
+            sink = histogram if t >= sim.warmup else None
             if tee is not None and sink is not None:
                 sink = tee
-            done_row = (
-                np.zeros(n, dtype=np.int64) if recorder.needs_done else None
-            )
+            done_row = np.zeros(n, dtype=np.int64) if recorder.needs_done else None
             busy = np.flatnonzero((queues > 0) & (capacities > 0))
             for s in busy:
                 if tee is not None and sink is tee:
                     tee.server = int(s)
                 done = servers[s].complete(int(capacities[s]), t, sink)
                 queues[s] -= done
-                total_departed += done
-                server_departed[s] += done
+                run_state.server_departed[s] += done
                 if done_row is not None:
                     done_row[s] = done
 
@@ -250,56 +248,27 @@ class ReferenceBackend(EngineBackend):
             recorder.record(t, batch, received, done_row, queues)
             if tee is not None and sink is tee:
                 tee.flush(t)
-            if controller is not None and (t + 1) % _CHUNK_ROUNDS == 0:
-                controller.after_block(
-                    t + 1,
-                    lambda: {
-                        "servers": servers,
-                        "queues": queues,
-                        "probes": probes,
-                        "total_arrived": total_arrived,
-                        "total_departed": total_departed,
-                        "server_received": server_received,
-                        "server_departed": server_departed,
-                    },
-                )
+            if controller is not None and (t + 1) % BLOCK_ROUNDS == 0:
+                controller.after_block(t + 1, export_state)
         recorder.flush()
-
-        return _make_result(
-            sim,
-            histogram=histogram,
-            queue_series=probes.queue_series,
-            total_arrived=total_arrived,
-            total_departed=total_departed,
-            final_queued=int(queues.sum()),
-            final_queues=queues,
-            server_received=server_received,
-            server_departed=server_departed,
-            probes=probes.as_dict(),
-        )
-
-
-#: Rounds pre-sampled per block by the block-structured backends.  The
-#: loop itself lives in :mod:`repro.sim.blockdriver`; this alias is the
-#: name the rest of the codebase (orchestrator, tests) imports.
-_CHUNK_ROUNDS = BLOCK_ROUNDS
+        return sim._result(probes.as_dict(), run_state)
 
 
 @register_backend("fast")
 class FastBackend(EngineBackend):
     """Vectorized round kernel: batch dispatching, block-resolved departures.
 
-    Workload randomness is pre-sampled in blocks of :data:`_CHUNK_ROUNDS`
+    Workload randomness is pre-sampled in blocks of :data:`BLOCK_ROUNDS`
     rounds (numpy block draws consume the RNG streams exactly like
     per-round draws, so the realization is the one the reference backend
     sees).  Within a block, each round makes one ``dispatch_round`` call
     -- which native policies answer with a single numpy operation -- and
     updates only the per-server queue totals; the FIFO bookkeeping
     (which job departed when) is deferred and resolved for the whole
-    block at once by :meth:`BatchQueueStore.process_block`, including
-    bulk histogram recording.  Policies that do not override the batch
-    protocol are driven through the same per-dispatcher loop as the
-    reference backend (and still gain the block-resolved departures).
+    block at once by the store's ``process_block``, including bulk
+    histogram recording.  Unit-size jobs keep the batch-granular store
+    and cross-round ``dispatch_rounds`` batching; sized jobs lay each
+    round's sizes out per ``(dispatcher, server)`` cell.
     """
 
     name = "fast"
@@ -308,111 +277,65 @@ class FastBackend(EngineBackend):
         "block-resolved departures (bit-exact for deterministic policies)"
     )
 
-    def _make_store(self, num_servers: int) -> BatchQueueStore:
+    def _make_store(self, num_servers: int, unit: bool):
         """Subclass seam: which departure resolver backs a fresh run."""
-        return BatchQueueStore(num_servers)
+        return make_store(num_servers, unit)
 
-    def _round_kernel(self, sim: "Simulation"):
+    def _round_kernel(self, sim):
         """Subclass seam: an optional whole-block native round loop."""
         return None
 
-    def run(
-        self, sim: "Simulation", controller: RunController | None = None
-    ) -> "SimulationResult":
-        config = sim.config
+    def run(self, sim, controller: RunController | None = None):
         n = sim.rates.size
-        start_round = 0
-        state = None
-        if controller is not None:
-            start_round = validate_start_round(
-                controller.start_round, config.rounds, _CHUNK_ROUNDS
-            )
-            state = controller.initial_state()
+        start_round, state = resume(controller, sim.rounds, sim.unit_jobs)
         if state is not None:
             store = state["store"]
             probes = state["probes"]
-            run_state = UnsizedRunState(
-                queues=state["queues"],
-                total_arrived=state["total_arrived"],
-                server_received=state["server_received"],
-                server_departed=state["server_departed"],
-            )
         else:
-            store = self._make_store(n)
-            probes = _probe_set_for(sim)
-            run_state = UnsizedRunState(
-                queues=np.zeros(n, dtype=np.int64),
-                total_arrived=0,
-                server_received=np.zeros(n, dtype=np.int64),
-                server_departed=np.zeros(n, dtype=np.int64),
-            )
+            store = self._make_store(n, sim.unit_jobs)
+            probes = probe_set_for(sim)
+        run_state = RunState.restore(state, n)
         histogram = probes.histogram
-        response_sink = (
-            probes.observe_responses if probes.wants_responses else None
-        )
+        response_sink = probes.observe_responses if probes.wants_responses else None
         # Churn scenarios wrap the policy in an adapter exposing the
         # block's capacity mask; stamping it onto the store arms the
         # no-admissions-while-masked corruption guard (and checkpoints
         # then carry the mask with the store).
         mask_source = getattr(sim.policy, "capacity_mask", None)
 
-        def consume(block: UnsizedBlock) -> None:
+        def consume(block: Block) -> None:
             if mask_source is not None:
                 store.set_capacity_mask(mask_source())
+            if block.job_servers is None:
+                admitted = (block.received,)
+            else:
+                admitted = (block.job_servers, block.job_rounds, block.job_sizes)
             store.process_block(
                 block.start_round,
-                block.received,
+                *admitted,
                 block.done,
                 histogram,
-                config.warmup,
+                sim.warmup,
                 response_sink=response_sink,
             )
 
-        def export_state() -> dict:
-            return {
-                "store": store,
-                "queues": run_state.queues,
-                "probes": probes,
-                "total_arrived": run_state.total_arrived,
-                "server_received": run_state.server_received,
-                "server_departed": run_state.server_departed,
-            }
-
-        drive_unsized(
-            policy=sim.policy,
-            arrivals=sim.arrivals,
-            service=sim.service,
-            arrival_rng=sim._streams.arrivals,
-            departure_rng=sim._streams.departures,
-            rounds=config.rounds,
-            warmup=config.warmup,
+        drive(
+            sim,
             start_round=start_round,
             state=run_state,
             block_probes=probes,
             series=probes.queue_series,
             consume=consume,
             controller=controller,
-            export_state=export_state,
+            export_state=lambda: {"store": store, "probes": probes, **run_state.export()},
             round_kernel=self._round_kernel(sim),
         )
-
-        return _make_result(
-            sim,
-            histogram=histogram,
-            queue_series=probes.queue_series,
-            total_arrived=run_state.total_arrived,
-            total_departed=int(run_state.server_departed.sum()),
-            final_queued=int(run_state.queues.sum()),
-            final_queues=run_state.queues,
-            server_received=run_state.server_received,
-            server_departed=run_state.server_departed,
-            probes=probes.as_dict(),
-        )
+        return sim._result(probes.as_dict(), run_state)
 
 
-# The sharded kernel registers itself in this registry (and the sized
-# one) on import; keep this at the bottom so the registry machinery
-# above exists when it does.
+# The sharded, compiled and mean-field kernels register themselves in
+# this registry on import; keep this at the bottom so the registry
+# machinery above exists when they do.
 from . import sharding  # noqa: E402,F401  (registration side effect)
 from . import compiled  # noqa: E402,F401  (registration side effect)
 from ..meanfield import backend as _meanfield  # noqa: E402,F401  (registration side effect)

@@ -37,7 +37,15 @@ sized-job engine (:mod:`repro.sim.sized`): the FIFO position axis counts
 round, remaining units)``, and a job's response time is attributed to
 the round its *last* unit drains -- one ``searchsorted`` of the jobs'
 cumulative unit boundaries into the block's merged departure boundaries
-recovers every completion at once.
+recovers every completion at once.  The two stores share their
+geometry, churn-mask guard, FIFO carry merge and departure-boundary
+construction (:class:`_FifoStore`); they differ only in what one
+pending entry is and when a completion is recorded.  Which store a run
+uses follows from its job sizes: unit-size jobs stay batch-granular.
+
+Both stores split :meth:`process_block` into input checks and a
+``_resolve`` step, which :mod:`repro.sim.compiled` overrides with a
+jitted two-pointer walk.
 """
 
 from __future__ import annotations
@@ -46,17 +54,16 @@ import numpy as np
 
 from .metrics import ResponseTimeHistogram
 
-__all__ = ["BatchQueueStore", "SizedBatchQueueStore"]
+__all__ = ["BatchQueueStore", "SizedBatchQueueStore", "make_store"]
 
 
-class BatchQueueStore:
-    """Pending ``(arrival_round, count)`` batches for ``n`` servers.
+class _FifoStore:
+    """Server-major FIFO storage shared by the unit and sized stores.
 
-    State between blocks is three flat arrays: per-server batch counts
-    and arrival rounds (server-major, FIFO within server) plus the
-    per-server batch- and job-totals.  :meth:`process_block` advances
-    the store over a block of rounds given the block's admission and
-    completion matrices.
+    Pending entries live in flat server-major arrays: ``_rounds`` (arrival
+    round of each entry), an amount array named by the subclass, and
+    ``_lengths`` (entries per server).  Attribute names are part of the
+    checkpoint format.
     """
 
     def __init__(self, num_servers: int) -> None:
@@ -64,24 +71,12 @@ class BatchQueueStore:
             raise ValueError("need at least one server")
         self._n = int(num_servers)
         self._rounds = np.empty(0, dtype=np.int64)
-        self._counts = np.empty(0, dtype=np.int64)
         self._lengths = np.zeros(self._n, dtype=np.int64)
-        self._jobs = np.zeros(self._n, dtype=np.int64)
         self._capacity_mask: np.ndarray | None = None
-
-    # -- state inspection (tests, debugging) -------------------------------
 
     @property
     def num_servers(self) -> int:
         return self._n
-
-    def batch_counts(self) -> np.ndarray:
-        """Number of pending batches per server."""
-        return self._lengths.copy()
-
-    def queued_jobs(self) -> np.ndarray:
-        """Total queued jobs per server (sum of pending batch counts)."""
-        return self._jobs.copy()
 
     # -- capacity mask (server churn) --------------------------------------
 
@@ -109,13 +104,148 @@ class BatchQueueStore:
             )
         self._capacity_mask = mask
 
-    def _check_capacity_mask(self, received_totals: np.ndarray) -> None:
+    def _admit(
+        self, held: np.ndarray, new_totals: np.ndarray, done_block: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Guard one block's admissions; per-server ``(totals, departures)``."""
         mask = self.capacity_mask()
-        if mask is not None and np.any(received_totals[~mask]):
+        if mask is not None and np.any(new_totals[~mask]):
             raise RuntimeError(
                 "batch store admitted jobs to churn-masked servers; "
                 "the churn adapter failed to redirect them"
             )
+        totals = held + new_totals
+        dep_totals = done_block.sum(axis=0)
+        if np.any(dep_totals > totals):
+            raise RuntimeError(
+                "batch store drained past its contents; "
+                "engine accounting is corrupt"
+            )
+        return totals, dep_totals
+
+    def _merge(
+        self,
+        old_amounts: np.ndarray,
+        new_servers: np.ndarray,
+        new_rounds: np.ndarray,
+        new_amounts: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Carried entries, then the block's, per server (server-major).
+
+        ``new_*`` are the block's entries sorted server-major.  Returns
+        the merged ``(rounds, amounts, server)`` arrays.
+        """
+        n = self._n
+        new_lengths = np.bincount(new_servers, minlength=n)
+        old_lengths = self._lengths
+        total_lengths = old_lengths + new_lengths
+        count = int(total_lengths.sum())
+        rounds = np.empty(count, dtype=np.int64)
+        amounts = np.empty(count, dtype=np.int64)
+        dest_base = np.cumsum(total_lengths) - total_lengths
+        old_total = self._rounds.size
+        if old_total:
+            old_base = np.cumsum(old_lengths) - old_lengths
+            old_dest = (
+                np.repeat(dest_base, old_lengths)
+                + np.arange(old_total)
+                - np.repeat(old_base, old_lengths)
+            )
+            rounds[old_dest] = self._rounds
+            amounts[old_dest] = old_amounts
+        if new_amounts.size:
+            new_base = np.cumsum(new_lengths) - new_lengths
+            new_dest = (
+                np.repeat(dest_base + old_lengths, new_lengths)
+                + np.arange(new_amounts.size)
+                - np.repeat(new_base, new_lengths)
+            )
+            rounds[new_dest] = new_rounds
+            amounts[new_dest] = new_amounts
+        return rounds, amounts, np.repeat(np.arange(n), total_lengths)
+
+    @staticmethod
+    def _departures(
+        start_round: int,
+        done_block: np.ndarray,
+        server_base: np.ndarray,
+        totals: np.ndarray,
+        dep_totals: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Departure boundaries on the global position axis, sorted.
+
+        Server ``s`` occupies ``(server_base[s], server_base[s] +
+        totals[s]]``; each round's completions end at one boundary, and
+        one sentinel per server with work left over marks "still queued"
+        so every position maps to a departure round or the carry.
+        Returns ``(ends, rounds, still_queued)``.
+        """
+        done_by_server = done_block.T
+        dep_srv, dep_col = np.nonzero(done_by_server)
+        dep_counts = done_by_server[dep_srv, dep_col]
+        dep_base = np.cumsum(dep_totals) - dep_totals
+        dep_ends = server_base[dep_srv] + np.cumsum(dep_counts) - dep_base[dep_srv]
+        sentinel_srv = np.flatnonzero(totals - dep_totals)
+        ends = np.concatenate([dep_ends, server_base[sentinel_srv] + totals[sentinel_srv]])
+        rounds = np.concatenate(
+            [start_round + dep_col, np.zeros(sentinel_srv.size, dtype=np.int64)]
+        )
+        still_queued = np.concatenate(
+            [
+                np.zeros(dep_ends.size, dtype=bool),
+                np.ones(sentinel_srv.size, dtype=bool),
+            ]
+        )
+        order = np.argsort(ends, kind="stable")
+        return ends[order], rounds[order], still_queued[order]
+
+
+def _emit(histogram, response_sink, dep_rounds, times, counts, servers) -> None:
+    """Hand one block's response records to the histogram and the probes."""
+    if histogram is not None:
+        histogram.record_many(times, counts)
+    if response_sink is not None:
+        response_sink(dep_rounds, times, counts, servers)
+
+
+class BatchQueueStore(_FifoStore):
+    """Pending ``(arrival_round, count)`` batches for ``n`` servers.
+
+    State between blocks is three flat arrays: per-server batch counts
+    and arrival rounds (server-major, FIFO within server) plus the
+    per-server batch- and job-totals.  :meth:`process_block` advances
+    the store over a block of rounds given the block's admission and
+    completion matrices.
+    """
+
+    def __init__(self, num_servers: int) -> None:
+        super().__init__(num_servers)
+        self._counts = np.empty(0, dtype=np.int64)
+        self._jobs = np.zeros(self._n, dtype=np.int64)
+
+    @classmethod
+    def from_unit_jobs(cls, store: "SizedBatchQueueStore") -> "BatchQueueStore":
+        """Adopt a :class:`SizedBatchQueueStore` holding unit-size jobs.
+
+        A pending unit job is a batch of one, so the arrays carry over.
+        """
+        adopted = cls(store.num_servers)
+        adopted._rounds = store._rounds
+        adopted._counts = store._remaining
+        adopted._lengths = store._lengths
+        adopted._jobs = store._units
+        adopted._capacity_mask = store.capacity_mask()
+        return adopted
+
+    # -- state inspection (tests, debugging) -------------------------------
+
+    def batch_counts(self) -> np.ndarray:
+        """Number of pending batches per server."""
+        return self._lengths.copy()
+
+    def queued_jobs(self) -> np.ndarray:
+        """Total queued jobs per server (sum of pending batch counts)."""
+        return self._jobs.copy()
 
     # -- block resolution --------------------------------------------------
 
@@ -152,116 +282,58 @@ class BatchQueueStore:
             histogram gets, stamped with the serving server of each
             record (the probe feed; see :mod:`repro.sim.probes`).
         """
-        n = self._n
-        new_totals = received_block.sum(axis=0)
-        self._check_capacity_mask(new_totals)
-        server_totals = self._jobs + new_totals
-        dep_totals = done_block.sum(axis=0)
-        if np.any(dep_totals > server_totals):
-            raise RuntimeError(
-                "batch store drained past its contents; "
-                "engine accounting is corrupt"
+        totals, dep_totals = self._admit(
+            self._jobs, received_block.sum(axis=0), done_block
+        )
+        if totals.any():
+            self._resolve(
+                start_round, received_block, done_block, totals, dep_totals,
+                histogram, warmup, response_sink,
             )
-        if not server_totals.any():
-            return
 
+    def _resolve(
+        self, start_round, received_block, done_block, totals, dep_totals,
+        histogram, warmup, response_sink,
+    ) -> None:
         # Batch sequence per server: carried batches first, then the
         # block's admissions in round order (server-major throughout).
         received_by_server = received_block.T
         new_srv, new_col = np.nonzero(received_by_server)
-        new_counts = received_by_server[new_srv, new_col]
-        new_rounds = start_round + new_col
-        new_lengths = np.bincount(new_srv, minlength=n)
-        old_lengths = self._lengths
-        total_lengths = old_lengths + new_lengths
-        num_batches = int(total_lengths.sum())
-        batch_rounds = np.empty(num_batches, dtype=np.int64)
-        batch_counts = np.empty(num_batches, dtype=np.int64)
-        dest_base = np.cumsum(total_lengths) - total_lengths
-        old_total = self._rounds.size
-        if old_total:
-            old_base = np.cumsum(old_lengths) - old_lengths
-            old_dest = (
-                np.repeat(dest_base, old_lengths)
-                + np.arange(old_total)
-                - np.repeat(old_base, old_lengths)
-            )
-            batch_rounds[old_dest] = self._rounds
-            batch_counts[old_dest] = self._counts
-        if new_counts.size:
-            new_base = np.cumsum(new_lengths) - new_lengths
-            new_dest = (
-                np.repeat(dest_base + old_lengths, new_lengths)
-                + np.arange(new_counts.size)
-                - np.repeat(new_base, new_lengths)
-            )
-            batch_rounds[new_dest] = new_rounds
-            batch_counts[new_dest] = new_counts
-        batch_server = np.repeat(np.arange(n), total_lengths)
-
-        # Global position axis: server s occupies the half-open interval
-        # (server_base[s], server_base[s] + server_totals[s]].
-        server_base = np.cumsum(server_totals) - server_totals
+        batch_rounds, batch_counts, batch_server = self._merge(
+            self._counts,
+            new_srv,
+            start_round + new_col,
+            received_by_server[new_srv, new_col],
+        )
+        server_base = np.cumsum(totals) - totals
         batch_ends = np.cumsum(batch_counts)
-
-        # Departure boundaries on the same axis, plus one sentinel per
-        # server with jobs left over so every position maps to either a
-        # departure round or "still queued".
-        done_by_server = done_block.T
-        dep_srv, dep_col = np.nonzero(done_by_server)
-        dep_counts = done_by_server[dep_srv, dep_col]
-        dep_base = np.cumsum(dep_totals) - dep_totals
-        dep_ends = (
-            server_base[dep_srv] + np.cumsum(dep_counts) - dep_base[dep_srv]
+        dep_ends, dep_rounds, still_queued = self._departures(
+            start_round, done_block, server_base, totals, dep_totals
         )
-        leftover_jobs = server_totals - dep_totals
-        sentinel_srv = np.flatnonzero(leftover_jobs)
-        sentinel_ends = server_base[sentinel_srv] + server_totals[sentinel_srv]
-        num_deps = dep_ends.size
-        all_dep_ends = np.concatenate([dep_ends, sentinel_ends])
-        all_dep_rounds = np.concatenate(
-            [
-                start_round + dep_col,
-                np.zeros(sentinel_srv.size, dtype=np.int64),
-            ]
-        )
-        still_queued = np.concatenate(
-            [
-                np.zeros(num_deps, dtype=bool),
-                np.ones(sentinel_srv.size, dtype=bool),
-            ]
-        )
-        order = np.argsort(all_dep_ends, kind="stable")
-        all_dep_ends = all_dep_ends[order]
-        all_dep_rounds = all_dep_rounds[order]
-        still_queued = still_queued[order]
 
         # Merge both boundary families into elementary segments; each
         # non-empty segment lies in exactly one batch and one departure
         # interval (duplicate boundaries yield empty segments, dropped).
-        ends = np.sort(np.concatenate([batch_ends, all_dep_ends]))
+        ends = np.sort(np.concatenate([batch_ends, dep_ends]))
         starts = np.concatenate([[0], ends[:-1]])
         seg_len = ends - starts
         nonempty = seg_len > 0
         starts = starts[nonempty]
         seg_len = seg_len[nonempty]
         seg_batch = np.searchsorted(batch_ends, starts, side="right")
-        seg_dep = np.searchsorted(all_dep_ends, starts, side="right")
+        seg_dep = np.searchsorted(dep_ends, starts, side="right")
 
         if histogram is not None or response_sink is not None:
-            dep_round = all_dep_rounds[seg_dep]
+            dep_round = dep_rounds[seg_dep]
             record = ~still_queued[seg_dep] & (dep_round >= warmup)
-            times = dep_round[record] - batch_rounds[seg_batch[record]] + 1
-            counts = seg_len[record]
-            if histogram is not None:
-                histogram.record_many(times, counts)
-            if response_sink is not None:
-                response_sink(
-                    dep_round[record],
-                    times,
-                    counts,
-                    batch_server[seg_batch[record]],
-                )
+            _emit(
+                histogram,
+                response_sink,
+                dep_round[record],
+                dep_round[record] - batch_rounds[seg_batch[record]] + 1,
+                seg_len[record],
+                batch_server[seg_batch[record]],
+            )
 
         # Segments mapped to a sentinel are the carry; global segment
         # order is server-major FIFO, and each pending batch contributes
@@ -271,8 +343,8 @@ class BatchQueueStore:
         left_batches = seg_batch[left]
         self._rounds = batch_rounds[left_batches]
         self._counts = seg_len[left]
-        self._lengths = np.bincount(batch_server[left_batches], minlength=n)
-        self._jobs = leftover_jobs
+        self._lengths = np.bincount(batch_server[left_batches], minlength=self._n)
+        self._jobs = totals - dep_totals
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -282,7 +354,7 @@ class BatchQueueStore:
         )
 
 
-class SizedBatchQueueStore:
+class SizedBatchQueueStore(_FifoStore):
     """Pending sized jobs for ``n`` servers, on a work-unit position axis.
 
     The sized engine's analog of :class:`BatchQueueStore`: each pending
@@ -298,20 +370,11 @@ class SizedBatchQueueStore:
     """
 
     def __init__(self, num_servers: int) -> None:
-        if num_servers < 1:
-            raise ValueError("need at least one server")
-        self._n = int(num_servers)
-        self._rounds = np.empty(0, dtype=np.int64)
+        super().__init__(num_servers)
         self._remaining = np.empty(0, dtype=np.int64)
-        self._lengths = np.zeros(self._n, dtype=np.int64)
         self._units = np.zeros(self._n, dtype=np.int64)
-        self._capacity_mask: np.ndarray | None = None
 
     # -- state inspection (tests, debugging) -------------------------------
-
-    @property
-    def num_servers(self) -> int:
-        return self._n
 
     def job_counts(self) -> np.ndarray:
         """Number of pending jobs per server."""
@@ -320,32 +383,6 @@ class SizedBatchQueueStore:
     def queued_units(self) -> np.ndarray:
         """Total queued work units per server (head jobs may be partial)."""
         return self._units.copy()
-
-    # -- capacity mask (server churn) --------------------------------------
-
-    def capacity_mask(self) -> np.ndarray | None:
-        """The availability mask in force, or ``None`` (full fleet)."""
-        return getattr(self, "_capacity_mask", None)
-
-    def set_capacity_mask(self, mask: np.ndarray | None) -> None:
-        """Stamp the block's churn mask, as in :class:`BatchQueueStore`."""
-        if mask is None:
-            self._capacity_mask = None
-            return
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self._n,):
-            raise ValueError(
-                f"capacity mask has shape {mask.shape}, expected ({self._n},)"
-            )
-        self._capacity_mask = mask
-
-    def _check_capacity_mask(self, job_servers: np.ndarray) -> None:
-        mask = self.capacity_mask()
-        if mask is not None and job_servers.size and np.any(~mask[job_servers]):
-            raise RuntimeError(
-                "sized batch store admitted jobs to churn-masked servers; "
-                "the churn adapter failed to redirect them"
-            )
 
     # -- block resolution --------------------------------------------------
 
@@ -385,113 +422,58 @@ class SizedBatchQueueStore:
             histogram gets, stamped with the serving server of each
             record (the probe feed; see :mod:`repro.sim.probes`).
         """
-        n = self._n
-        job_servers = np.asarray(job_servers, dtype=np.int64)
-        job_rounds = np.asarray(job_rounds, dtype=np.int64)
-        job_sizes = np.asarray(job_sizes, dtype=np.int64)
+        job_servers = np.ascontiguousarray(job_servers, dtype=np.int64)
+        job_rounds = np.ascontiguousarray(job_rounds, dtype=np.int64)
+        job_sizes = np.ascontiguousarray(job_sizes, dtype=np.int64)
         if not (job_servers.shape == job_rounds.shape == job_sizes.shape):
             raise ValueError("job arrays must be parallel 1-D arrays")
         if job_sizes.size and int(job_sizes.min()) < 1:
             raise ValueError("job sizes must be >= 1")
         if job_servers.size and np.any(np.diff(job_servers) < 0):
             raise ValueError("jobs must be sorted server-major")
-        self._check_capacity_mask(job_servers)
-        new_units = np.zeros(n, dtype=np.int64)
+        new_units = np.zeros(self._n, dtype=np.int64)
         if job_sizes.size:
             np.add.at(new_units, job_servers, job_sizes)
-        server_units = self._units + new_units
-        dep_totals = done_block.sum(axis=0)
-        if np.any(dep_totals > server_units):
-            raise RuntimeError(
-                "sized batch store drained past its contents; "
-                "engine accounting is corrupt"
+        totals, dep_totals = self._admit(self._units, new_units, done_block)
+        if totals.any():
+            self._resolve(
+                start_round, job_servers, job_rounds, job_sizes, done_block,
+                totals, dep_totals, histogram, warmup, response_sink,
             )
-        if not server_units.any():
-            return
 
+    def _resolve(
+        self, start_round, job_servers, job_rounds, job_sizes, done_block,
+        totals, dep_totals, histogram, warmup, response_sink,
+    ) -> None:
         # Job sequence per server: carried jobs first (the head may be
         # partially served), then the block's admissions (server-major).
-        new_lengths = np.bincount(job_servers, minlength=n)
-        old_lengths = self._lengths
-        total_lengths = old_lengths + new_lengths
-        num_jobs = int(total_lengths.sum())
-        rounds_merged = np.empty(num_jobs, dtype=np.int64)
-        units_merged = np.empty(num_jobs, dtype=np.int64)
-        dest_base = np.cumsum(total_lengths) - total_lengths
-        old_total = self._rounds.size
-        if old_total:
-            old_base = np.cumsum(old_lengths) - old_lengths
-            old_dest = (
-                np.repeat(dest_base, old_lengths)
-                + np.arange(old_total)
-                - np.repeat(old_base, old_lengths)
-            )
-            rounds_merged[old_dest] = self._rounds
-            units_merged[old_dest] = self._remaining
-        if job_sizes.size:
-            new_base = np.cumsum(new_lengths) - new_lengths
-            new_dest = (
-                np.repeat(dest_base + old_lengths, new_lengths)
-                + np.arange(job_sizes.size)
-                - np.repeat(new_base, new_lengths)
-            )
-            rounds_merged[new_dest] = job_rounds
-            units_merged[new_dest] = job_sizes
-        job_server = np.repeat(np.arange(n), total_lengths)
-
-        # Global unit-position axis: server s occupies the half-open
-        # interval (server_base[s], server_base[s] + server_units[s]];
-        # job j ends at the cumulative unit count through j.
-        server_base = np.cumsum(server_units) - server_units
+        rounds_merged, units_merged, job_server = self._merge(
+            self._remaining, job_servers, job_rounds, job_sizes
+        )
+        # Job j ends at the cumulative unit count through j on the
+        # global unit-position axis.
+        server_base = np.cumsum(totals) - totals
         job_ends = np.cumsum(units_merged)
-
-        # Departure boundaries on the same axis, plus one sentinel per
-        # server with units left over, so every job's last unit maps to
-        # either a departure round or "still queued".
-        done_by_server = done_block.T
-        dep_srv, dep_col = np.nonzero(done_by_server)
-        dep_counts = done_by_server[dep_srv, dep_col]
-        dep_base = np.cumsum(dep_totals) - dep_totals
-        dep_ends = (
-            server_base[dep_srv] + np.cumsum(dep_counts) - dep_base[dep_srv]
+        dep_ends, dep_rounds, still_queued = self._departures(
+            start_round, done_block, server_base, totals, dep_totals
         )
-        leftover_units = server_units - dep_totals
-        sentinel_srv = np.flatnonzero(leftover_units)
-        sentinel_ends = server_base[sentinel_srv] + server_units[sentinel_srv]
-        all_dep_ends = np.concatenate([dep_ends, sentinel_ends])
-        all_dep_rounds = np.concatenate(
-            [
-                start_round + dep_col,
-                np.zeros(sentinel_srv.size, dtype=np.int64),
-            ]
-        )
-        still_queued = np.concatenate(
-            [
-                np.zeros(dep_ends.size, dtype=bool),
-                np.ones(sentinel_srv.size, dtype=bool),
-            ]
-        )
-        order = np.argsort(all_dep_ends, kind="stable")
-        all_dep_ends = all_dep_ends[order]
-        all_dep_rounds = all_dep_rounds[order]
-        still_queued = still_queued[order]
 
         # A job finishes in the departure interval containing its last
         # unit: the first boundary >= its cumulative end position.
-        interval = np.searchsorted(all_dep_ends, job_ends, side="left")
+        interval = np.searchsorted(dep_ends, job_ends, side="left")
         completed = ~still_queued[interval]
 
         if histogram is not None or response_sink is not None:
-            dep_round = all_dep_rounds[interval]
+            dep_round = dep_rounds[interval]
             record = completed & (dep_round >= warmup)
-            times = dep_round[record] - rounds_merged[record] + 1
-            counts = np.ones(int(record.sum()), dtype=np.int64)
-            if histogram is not None:
-                histogram.record_many(times, counts)
-            if response_sink is not None:
-                response_sink(
-                    dep_round[record], times, counts, job_server[record]
-                )
+            _emit(
+                histogram,
+                response_sink,
+                dep_round[record],
+                dep_round[record] - rounds_merged[record] + 1,
+                np.ones(int(record.sum()), dtype=np.int64),
+                job_server[record],
+            )
 
         # Carry: jobs whose last unit outlives the block's completions;
         # the head job of each leftover server may be partially served.
@@ -503,8 +485,8 @@ class SizedBatchQueueStore:
         self._remaining = job_ends[carried] - np.maximum(
             job_starts[carried], drained_end[carried_srv]
         )
-        self._lengths = np.bincount(carried_srv, minlength=n)
-        self._units = leftover_units
+        self._lengths = np.bincount(carried_srv, minlength=self._n)
+        self._units = totals - dep_totals
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -512,3 +494,8 @@ class SizedBatchQueueStore:
             f"jobs={int(self._lengths.sum())} "
             f"units={int(self._units.sum())}>"
         )
+
+
+def make_store(num_servers: int, unit: bool) -> _FifoStore:
+    """The numpy store for unit-size (batch-granular) or sized jobs."""
+    return BatchQueueStore(num_servers) if unit else SizedBatchQueueStore(num_servers)

@@ -1,50 +1,52 @@
-"""The shared 256-round block driver behind every engine kernel.
+"""The shared 256-round block driver behind every block-structured kernel.
 
-All block-structured kernels -- ``fast``, ``sharded`` and ``compiled``,
-in both the unsized and the sized engine -- execute the *same* round
-loop: pre-sample a block of workload randomness, run each round's
-dispatch against the live queue totals, defer FIFO departure resolution
-to block end, feed the block to the probe set, and hand the lifecycle
-controller an exportable state at the block boundary.  What differs
-between kernels is only **where a finished block goes** (a local batch
-store, per-shard workers over pipes) and **which store implementation
-resolves it** -- so this module owns the loop once and parameterizes
-the destination:
+``fast``, ``compiled`` and ``sharded`` execute the *same* round loop,
+for unit-size and sized jobs alike: pre-sample a block of workload
+randomness, run each round's dispatch against the live queue totals,
+defer FIFO departure resolution to block end, feed the block to the
+probe set, and hand the lifecycle controller an exportable state at the
+block boundary.  What differs between kernels is only **where a
+finished block goes** -- so this module owns the loop once and
+parameterizes the destination:
 
 ``consume``
-    A callable receiving the finished :class:`UnsizedBlock` /
-    :class:`SizedBlock`.  The fast kernels resolve it against a local
-    :class:`~repro.sim.batchstore.BatchQueueStore`; the sharded kernels
-    slice it across shard workers.
+    A callable receiving the finished :class:`Block`.  The fast kernels
+    resolve it against a local batch store; the sharded kernel slices
+    it across shard workers.
 
 ``export_state``
-    A zero-argument callable building the kernel's checkpoint dict;
-    the driver invokes the :class:`~repro.sim.lifecycle.RunController`
-    seam with it at every block boundary, exactly as the kernels used
-    to inline.
+    A zero-argument callable building the kernel's checkpoint dict; the
+    driver invokes the :class:`~repro.sim.lifecycle.RunController` seam
+    with it at every block boundary.
 
-The driver also owns the two cross-round accelerations the kernels
-share:
+**Unit-size and sized jobs.**  Queues count work units; a unit-size job
+is one unit, which is the paper's model.  The job-size distribution of
+the simulation alone picks the path (``sim.unit_jobs``):
 
-* **Cross-round dispatch batching.**  When the policy passes
-  :func:`repro.policies.base.supports_round_batching` (queue-oblivious,
-  no round hooks), the whole block's admissions come from one
-  :meth:`~repro.policies.base.Policy.dispatch_rounds` call and the loop
-  degenerates to the pure queue/departure recurrence -- bit-identical
-  by that method's contract, with none of the per-round Python
-  overhead.
-* **A compiled round-kernel seam.**  The unsized driver accepts an
-  optional ``round_kernel`` object (see :mod:`repro.sim.compiled`)
-  that runs the *entire* block -- dispatch state, queue recurrence and
-  completion matrix -- in one native call; the driver reconstructs the
-  queue trajectory and series totals from the admission/completion
-  matrices afterwards (integer prefix sums, so the values are the ones
-  the per-round loop would have recorded).
+* *unit-size jobs* draw no size stream and stay batch-granular -- a
+  round's admissions are per-server job counts, the block goes to a
+  :class:`~repro.sim.batchstore.BatchQueueStore`, and two cross-round
+  accelerations apply:
+
+  - **cross-round dispatch batching**: when the policy passes
+    :func:`repro.policies.base.supports_round_batching`, the whole
+    block's admissions come from one
+    :meth:`~repro.policies.base.Policy.dispatch_rounds` call and the
+    loop degenerates to the pure queue/departure recurrence;
+  - **a compiled round kernel** (see :mod:`repro.sim.compiled`) may run
+    the *entire* block natively; the driver rebuilds the queue
+    trajectory and series from the admission/completion matrices
+    (integer prefix sums, so the values are the per-round loop's).
+
+* *sized jobs* interleave batches and sizes on the arrival stream, so
+  pre-sampling repeats the reference's per-round call sequence, and
+  each round's ``(dispatcher, server)`` cell counts lay its flat size
+  vector out by a prefix sum.  The block carries its jobs sorted
+  server-major for a :class:`~repro.sim.batchstore.SizedBatchQueueStore`.
 
 Bit-identity is the invariant throughout: for a given policy and seed,
-every path through this driver produces the same admission matrix,
-completion matrix, queue trajectory and checkpoint state as the
-original per-round loop it replaced.
+every path produces the same admission matrix, completion matrix, queue
+trajectory and checkpoint state as the per-round reference loop.
 """
 
 from __future__ import annotations
@@ -60,18 +62,16 @@ from repro.policies.base import (
     supports_round_batching,
 )
 
-from .lifecycle import RunController
+from .lifecycle import RunController, validate_start_round
 from .probes import ProbeBlock, ProbeSet
 
 __all__ = [
     "BLOCK_ROUNDS",
-    "UnsizedBlock",
-    "SizedBlock",
-    "UnsizedRunState",
-    "SizedRunState",
+    "Block",
+    "RunState",
     "RoundKernel",
-    "drive_unsized",
-    "drive_sized",
+    "resume",
+    "drive",
 ]
 
 #: Rounds pre-sampled per block (bounds the memory of the ``(chunk, m)``
@@ -82,70 +82,130 @@ _EMPTY_JOBS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
-class UnsizedBlock:
-    """One finished block of the unsized round loop, ready to resolve."""
+class Block:
+    """One finished block of the round loop, ready to resolve.
+
+    ``received`` / ``done`` / ``queues`` count work units (jobs, for
+    unit-size jobs).  Sized blocks also carry their jobs as parallel
+    arrays sorted (stably) server-major; unit-size blocks leave them
+    ``None`` -- ``received`` says everything about unit jobs.
+    """
 
     start_round: int
     length: int
-    batch: np.ndarray  # (length, m) per-dispatcher arrivals
+    batch: np.ndarray  # (length, m) per-dispatcher arrivals (jobs)
     received: np.ndarray  # (length, n) per-server admissions
     done: np.ndarray  # (length, n) per-server completions
     queues: np.ndarray | None  # (length, n) post-round queues, if requested
+    job_servers: np.ndarray | None = None
+    job_rounds: np.ndarray | None = None
+    job_sizes: np.ndarray | None = None
 
 
-@dataclass
-class SizedBlock:
-    """One finished block of the sized round loop, jobs sorted server-major."""
-
-    start_round: int
-    length: int
-    batch: np.ndarray  # (length, m) per-dispatcher arrivals
-    received: np.ndarray | None  # (length, n) admitted units, if requested
-    done: np.ndarray  # (length, n) drained units
-    queues: np.ndarray | None  # (length, n) post-round unit queues
-    job_servers: np.ndarray  # per-job server, sorted (stable) server-major
-    job_rounds: np.ndarray  # per-job admission round, same order
-    job_sizes: np.ndarray  # per-job unit size, same order
-
-
-class UnsizedRunState:
-    """The unsized kernels' mutable run accumulators (checkpointed keys).
+class RunState:
+    """The kernels' mutable run accumulators (checkpointed).
 
     ``queues`` is the live array the checkpoint dicts reference -- the
-    driver mutates it in place and never rebinds it.
+    kernels mutate it in place and never rebind it.  Per-server arrays
+    count work units; ``total_jobs`` counts jobs.
     """
 
-    __slots__ = ("queues", "total_arrived", "server_received", "server_departed")
+    __slots__ = ("queues", "total_jobs", "server_received", "server_departed")
 
     def __init__(
         self,
         queues: np.ndarray,
-        total_arrived: int,
-        server_received: np.ndarray,
-        server_departed: np.ndarray,
+        total_jobs: int = 0,
+        server_received: np.ndarray | None = None,
+        server_departed: np.ndarray | None = None,
     ) -> None:
         self.queues = queues
-        self.total_arrived = total_arrived
-        self.server_received = server_received
-        self.server_departed = server_departed
-
-
-class SizedRunState:
-    """The sized kernels' mutable run accumulators (checkpointed keys)."""
-
-    __slots__ = ("unit_queues", "total_jobs", "units_in", "units_out")
-
-    def __init__(
-        self,
-        unit_queues: np.ndarray,
-        total_jobs: int,
-        units_in: int,
-        units_out: int,
-    ) -> None:
-        self.unit_queues = unit_queues
         self.total_jobs = total_jobs
-        self.units_in = units_in
-        self.units_out = units_out
+        self.server_received = (
+            np.zeros_like(queues) if server_received is None else server_received
+        )
+        self.server_departed = (
+            np.zeros_like(queues) if server_departed is None else server_departed
+        )
+
+    @classmethod
+    def restore(cls, state: dict | None, num_servers: int) -> "RunState":
+        """From an :meth:`export` dict, or fresh zeros when ``None``."""
+        if state is None:
+            return cls(np.zeros(num_servers, dtype=np.int64))
+        return cls(
+            state["queues"],
+            state["total_arrived"],
+            state["server_received"],
+            state["server_departed"],
+        )
+
+    def export(self) -> dict:
+        """The checkpoint keys (live references)."""
+        return {
+            "queues": self.queues,
+            "total_arrived": self.total_jobs,
+            "server_received": self.server_received,
+            "server_departed": self.server_departed,
+        }
+
+    @property
+    def units_in(self) -> int:
+        return int(self.server_received.sum())
+
+    @property
+    def units_out(self) -> int:
+        return int(self.server_departed.sum())
+
+    @property
+    def units_queued(self) -> int:
+        return int(self.queues.sum())
+
+
+def _upgrade_sized_layout(state: dict, unit: bool) -> dict:
+    """Map a checkpoint of the former sized-job kernels onto today's keys.
+
+    Those kernels kept ``unit_queues`` and unit totals only.  The sized
+    result reports no per-server figures, so the totals ride on server
+    0.  Unit-size jobs now take the unit path, whose queue objects have
+    the same ``[arrival_round, count]`` layout -- a unit job is a batch
+    of one -- so their sized queues convert field by field.
+    """
+    from .batchstore import BatchQueueStore
+    from .server import ServerQueue
+
+    state = dict(state)
+    queues = state.pop("unit_queues")
+    received = np.zeros_like(queues)
+    departed = np.zeros_like(queues)
+    received[0] = state.pop("units_in")
+    departed[0] = state.pop("units_out")
+    state.update(
+        queues=queues,
+        total_arrived=state.pop("total_jobs"),
+        server_received=received,
+        server_departed=departed,
+    )
+    if unit:
+        for holder in [state, *state.get("shards", ())]:
+            if "store" in holder:
+                holder["store"] = BatchQueueStore.from_unit_jobs(holder["store"])
+        if "servers" in state:
+            state["servers"] = [ServerQueue.from_unit_jobs(q) for q in state["servers"]]
+    return state
+
+
+def resume(
+    controller: RunController | None, rounds: int, unit: bool
+) -> tuple[int, dict | None]:
+    """``(start_round, kernel state or None)`` for a kernel invocation."""
+    if controller is None:
+        return 0, None
+    start = validate_start_round(controller.start_round, rounds, BLOCK_ROUNDS)
+    state = controller.initial_state()
+    if state is not None and "unit_queues" in state:
+        state = _upgrade_sized_layout(state, unit)
+    return start, state
 
 
 class RoundKernel(Protocol):
@@ -187,58 +247,77 @@ def _check_received_block(
         )
 
 
-def drive_unsized(
+def drive(
+    sim,
     *,
-    policy: Policy,
-    arrivals,
-    service,
-    arrival_rng: np.random.Generator,
-    departure_rng: np.random.Generator,
-    rounds: int,
-    warmup: int,  # noqa: ARG001 - kept for signature symmetry with consumers
     start_round: int,
-    state: UnsizedRunState,
+    state: RunState,
     block_probes: ProbeSet,
     series,
-    consume: Callable[[UnsizedBlock], None],
+    consume: Callable[[Block], None],
     controller: RunController | None = None,
     export_state: Callable[[], dict] | None = None,
     round_kernel: RoundKernel | None = None,
 ) -> None:
-    """Run the unsized round loop from ``start_round`` to ``rounds``.
+    """Run ``sim``'s round loop from ``start_round`` to ``sim.rounds``.
 
     ``block_probes`` is the probe set fed whole blocks (the fast
     kernel's full set; the sharded coordinator's non-partitionable
     subset); ``series`` is the queue-length series recorded per round,
     or ``None`` when the consumer's side owns it (shard workers record
-    their own slices).
+    their own slices).  ``round_kernel`` applies to unit-size jobs only.
     """
+    policy = sim.policy
+    arrivals = sim.arrivals
+    arrival_rng = sim._streams.arrivals
+    departure_rng = sim._streams.departures
+    unit = sim.unit_jobs
     queues = state.queues
     n = queues.size
     m = arrivals.num_dispatchers
     native = has_native_dispatch_round(policy)
-    batching = supports_round_batching(policy)
+    batching = unit and supports_round_batching(policy)
+    if not unit:
+        round_kernel = None
+        # Flat (dispatcher-major) cell index -> server, matching both the
+        # C-order ravel of a dispatch_round matrix and the order in
+        # which the reference hands a dispatcher's sizes to servers.
+        cell_server = np.tile(np.arange(n), m)
     fields = block_probes.fields
     need_queues = "queues" in fields
     wants_blocks = block_probes.wants_blocks
     track = need_queues or series is not None
 
-    for chunk_start in range(start_round, rounds, BLOCK_ROUNDS):
-        chunk = min(BLOCK_ROUNDS, rounds - chunk_start)
-        arrival_block = arrivals.sample_many(arrival_rng, chunk_start, chunk)
-        capacity_block = service.sample_many(departure_rng, chunk_start, chunk)
+    for chunk_start in range(start_round, sim.rounds, BLOCK_ROUNDS):
+        chunk = min(BLOCK_ROUNDS, sim.rounds - chunk_start)
+
+        # Phase 1 (pre-sampled): arrivals -- and, for sized jobs, sizes,
+        # interleaved per round exactly as the reference consumes them.
+        if unit:
+            batch_block = arrivals.sample_many(arrival_rng, chunk_start, chunk)
+        else:
+            batch_block = np.empty((chunk, m), dtype=np.int64)
+            size_rows: list[np.ndarray] = []
+            for i in range(chunk):
+                batch = arrivals.sample(arrival_rng, chunk_start + i)
+                batch_block[i] = batch
+                k = int(batch.sum())
+                size_rows.append(sim.sizes.sample(arrival_rng, k) if k else _EMPTY_JOBS)
+            job_servers: list[np.ndarray] = []
+            job_rounds: list[np.ndarray] = []
+        capacity_block = sim.service.sample_many(departure_rng, chunk_start, chunk)
         received_block = np.zeros((chunk, n), dtype=np.int64)
         done_block = np.zeros((chunk, n), dtype=np.int64)
         queue_block = np.zeros((chunk, n), dtype=np.int64) if need_queues else None
+        state.total_jobs += int(batch_block.sum())
 
+        batched = None
         if round_kernel is not None:
             start_total = int(queues.sum()) if track else 0
             start_queues = queues.copy() if need_queues else None
             round_kernel.run_block(
-                arrival_block, capacity_block, queues, received_block, done_block
+                batch_block, capacity_block, queues, received_block, done_block
             )
-            state.total_arrived += int(arrival_block.sum())
-            state.server_received += received_block.sum(axis=0)
             if queue_block is not None:
                 np.cumsum(received_block - done_block, axis=0, out=queue_block)
                 queue_block += start_queues
@@ -247,251 +326,107 @@ def drive_unsized(
                 np.cumsum(totals, out=totals)
                 totals += start_total
                 series.record_many(totals)
+        elif batching and (batched := policy.dispatch_rounds(batch_block)) is not None:
+            _check_received_block(policy, batched, batch_block, n)
+            received_block[:] = batched
+            # The policy is out of the loop; only the queue / departure
+            # recurrence remains, round by round.
+            for i in range(chunk):
+                queues += received_block[i]
+                done = np.minimum(queues, capacity_block[i])
+                done_block[i] = done
+                queues -= done
+                if series is not None:
+                    series.record(int(queues.sum()))
+                if queue_block is not None:
+                    queue_block[i] = queues
         else:
-            batched = None
-            if batching:
-                batched = policy.dispatch_rounds(arrival_block)
-            if batched is not None:
-                _check_received_block(policy, batched, arrival_block, n)
-                received_block[:] = batched
-                # The policy is out of the loop; only the queue /
-                # departure recurrence remains, round by round.
-                for i in range(chunk):
-                    queues += received_block[i]
-                    done = np.minimum(queues, capacity_block[i])
-                    done_block[i] = done
-                    queues -= done
-                    if series is not None:
-                        series.record(int(queues.sum()))
-                    if queue_block is not None:
-                        queue_block[i] = queues
-                state.total_arrived += int(arrival_block.sum())
-                state.server_received += received_block.sum(axis=0)
-            else:
-                for i in range(chunk):
-                    t = chunk_start + i
+            for i in range(chunk):
+                t = chunk_start + i
+                batch = batch_block[i]
+                round_total = int(batch.sum())
 
-                    # Phase 1: arrivals (pre-sampled).
-                    batch = arrival_block[i]
-                    round_total = int(batch.sum())
-                    state.total_arrived += round_total
-
-                    # Phase 2: one batched dispatch for the whole round.
-                    policy.begin_round(t, queues)
-                    if round_total:
-                        policy.observe_total_arrivals(round_total)
-                        if native:
-                            rows = policy.dispatch_round(batch, queues)
-                            if rows.shape != (m, n):
-                                raise ValueError(
-                                    f"{policy.name}.dispatch_round returned shape "
-                                    f"{rows.shape}, expected ({m}, {n})"
-                                )
-                            received = rows.sum(axis=0)
-                        else:
-                            received = np.zeros(n, dtype=np.int64)
-                            for d in range(m):
-                                k = int(batch[d])
-                                if k == 0:
-                                    continue
-                                received += policy.dispatch(d, k)
-                        if int(received.sum()) != round_total:
+                # Phase 2: one batched dispatch for the whole round.
+                policy.begin_round(t, queues)
+                if round_total:
+                    policy.observe_total_arrivals(round_total)
+                    if native or not unit:
+                        rows = policy.dispatch_round(batch, queues)
+                        if rows.shape != (m, n):
                             raise ValueError(
-                                f"{policy.name} assigned {int(received.sum())} "
-                                f"jobs for a round of {round_total}"
+                                f"{policy.name}.dispatch_round returned shape "
+                                f"{rows.shape}, expected ({m}, {n})"
                             )
-                        received_block[i] = received
-                        queues += received
-                        state.server_received += received
+                        counts = rows.sum(axis=0) if unit else rows.ravel()
+                    else:
+                        counts = np.zeros(n, dtype=np.int64)
+                        for d in range(m):
+                            k = int(batch[d])
+                            if k:
+                                counts += policy.dispatch(d, k)
+                    if int(counts.sum()) != round_total:
+                        raise ValueError(
+                            f"{policy.name} assigned {int(counts.sum())} "
+                            f"jobs for a round of {round_total}"
+                        )
+                    if unit:
+                        received = counts
+                    else:
+                        # Sizes are consumed dispatcher-major, within a
+                        # dispatcher in server order -- the C-order of
+                        # the cell counts; a prefix sum over the flat
+                        # size vector yields every cell's unit total.
+                        bounds = np.concatenate(([0], np.cumsum(size_rows[i])))
+                        cell_ends = np.cumsum(counts)
+                        cell_units = bounds[cell_ends] - bounds[cell_ends - counts]
+                        received = cell_units.reshape(m, n).sum(axis=0)
+                        job_servers.append(np.repeat(cell_server, counts))
+                        job_rounds.append(np.full(round_total, t, dtype=np.int64))
+                    received_block[i] = received
+                    queues += received
 
-                    # Phase 3: departures -- totals now, FIFO resolution
-                    # at block end.
-                    done = np.minimum(queues, capacity_block[i])
-                    done_block[i] = done
-                    queues -= done
+                # Phase 3: departures -- totals now, FIFO resolution at
+                # block end (by the consumer).
+                done = np.minimum(queues, capacity_block[i])
+                done_block[i] = done
+                queues -= done
 
-                    policy.end_round(t, queues)
-                    if series is not None:
-                        series.record(int(queues.sum()))
-                    if queue_block is not None:
-                        queue_block[i] = queues
+                policy.end_round(t, queues)
+                if series is not None:
+                    series.record(int(queues.sum()))
+                if queue_block is not None:
+                    queue_block[i] = queues
 
+        state.server_received += received_block.sum(axis=0)
         state.server_departed += done_block.sum(axis=0)
-        consume(
-            UnsizedBlock(
-                start_round=chunk_start,
-                length=chunk,
-                batch=arrival_block,
-                received=received_block,
-                done=done_block,
-                queues=queue_block,
-            )
+        block = Block(
+            start_round=chunk_start,
+            length=chunk,
+            batch=batch_block,
+            received=received_block,
+            done=done_block,
+            queues=queue_block,
         )
-        if wants_blocks:
-            block_probes.observe_block(
-                ProbeBlock(
-                    start_round=chunk_start,
-                    length=chunk,
-                    batch=arrival_block if "batch" in fields else None,
-                    received=received_block if "received" in fields else None,
-                    done=done_block if "done" in fields else None,
-                    queues=queue_block,
-                )
-            )
-        if controller is not None:
-            assert export_state is not None
-            controller.after_block(chunk_start + chunk, export_state)
-
-
-def drive_sized(
-    *,
-    policy: Policy,
-    arrivals,
-    service,
-    sizes,
-    arrival_rng: np.random.Generator,
-    departure_rng: np.random.Generator,
-    rounds: int,
-    start_round: int,
-    state: SizedRunState,
-    block_probes: ProbeSet,
-    series,
-    collect_received: bool,
-    consume: Callable[[SizedBlock], None],
-    controller: RunController | None = None,
-    export_state: Callable[[], dict] | None = None,
-) -> None:
-    """Run the sized round loop from ``start_round`` to ``rounds``.
-
-    Sizes are workload randomness interleaved with batches on the
-    arrival stream, so the pre-sampling loop repeats the reference's
-    per-round call sequence exactly.  ``collect_received`` forces the
-    admitted-units matrix even when no probe reads it (the sharded
-    consumer feeds shard slices from it).
-
-    No cross-round batching here: the sized loop needs every round's
-    per-``(dispatcher, server)`` cell counts to lay job sizes out, and
-    ``dispatch_rounds`` only returns dispatcher-summed rows.
-    """
-    unit_queues = state.unit_queues
-    n = unit_queues.size
-    m = arrivals.num_dispatchers
-    fields = block_probes.fields
-    need_queues = "queues" in fields
-    need_received = collect_received or "received" in fields
-    wants_blocks = block_probes.wants_blocks
-    # Flat (dispatcher-major) cell index -> server, matching both the
-    # C-order ravel of a dispatch_round matrix and the order in which
-    # the reference assigns a dispatcher's sizes to servers.
-    cell_server = np.tile(np.arange(n), m)
-
-    for chunk_start in range(start_round, rounds, BLOCK_ROUNDS):
-        chunk = min(BLOCK_ROUNDS, rounds - chunk_start)
-
-        # Phase 1 (pre-sampled): arrivals and sizes, interleaved per
-        # round exactly as the reference consumes them.
-        batch_block = np.empty((chunk, m), dtype=np.int64)
-        size_rows: list[np.ndarray] = []
-        for i in range(chunk):
-            batch = arrivals.sample(arrival_rng, chunk_start + i)
-            batch_block[i] = batch
-            k = int(batch.sum())
-            size_rows.append(sizes.sample(arrival_rng, k) if k else _EMPTY_JOBS)
-        capacity_block = service.sample_many(departure_rng, chunk_start, chunk)
-        done_block = np.zeros((chunk, n), dtype=np.int64)
-        received_block = (
-            np.zeros((chunk, n), dtype=np.int64) if need_received else None
-        )
-        queue_block = np.zeros((chunk, n), dtype=np.int64) if need_queues else None
-        job_servers: list[np.ndarray] = []
-        job_rounds: list[np.ndarray] = []
-        job_sizes: list[np.ndarray] = []
-
-        for i in range(chunk):
-            t = chunk_start + i
-            batch = batch_block[i]
-            round_total = int(batch.sum())
-            state.total_jobs += round_total
-
-            # Phase 2: one batched dispatch for the whole round.
-            policy.begin_round(t, unit_queues)
-            if round_total:
-                policy.observe_total_arrivals(round_total)
-                rows = policy.dispatch_round(batch, unit_queues)
-                if rows.shape != (m, n):
-                    raise ValueError(
-                        f"{policy.name}.dispatch_round returned shape "
-                        f"{rows.shape}, expected ({m}, {n})"
-                    )
-                flat = rows.ravel()
-                if int(flat.sum()) != round_total:
-                    raise ValueError(
-                        f"{policy.name} assigned {int(flat.sum())} "
-                        f"jobs for a round of {round_total}"
-                    )
-                # The round's sizes are consumed dispatcher-major, within
-                # a dispatcher in server-index order -- the C-order of
-                # `rows`.  A prefix-sum over the flat size vector yields
-                # every cell's unit total.
-                round_sizes = size_rows[i]
-                bounds = np.concatenate(([0], np.cumsum(round_sizes)))
-                cell_ends = np.cumsum(flat)
-                cell_units = bounds[cell_ends] - bounds[cell_ends - flat]
-                received_units = cell_units.reshape(m, n).sum(axis=0)
-                unit_queues += received_units
-                state.units_in += int(received_units.sum())
-                if received_block is not None:
-                    received_block[i] = received_units
-                job_servers.append(np.repeat(cell_server, flat))
-                job_rounds.append(np.full(round_total, t, dtype=np.int64))
-                job_sizes.append(round_sizes)
-
-            # Phase 3: departures -- unit totals now, per-job FIFO
-            # resolution at block end (by the consumer).
-            done = np.minimum(unit_queues, capacity_block[i])
-            done_block[i] = done
-            unit_queues -= done
-            state.units_out += int(done.sum())
-
-            policy.end_round(t, unit_queues)
-            if series is not None:
-                series.record(int(unit_queues.sum()))
-            if queue_block is not None:
-                queue_block[i] = unit_queues
-
-        # Jobs are concatenated in (round, dispatcher) admission order; a
-        # stable sort by server turns that into the server-major FIFO
-        # order every consumer requires.
-        if job_servers:
-            srv = np.concatenate(job_servers)
-            order = np.argsort(srv, kind="stable")
-            srv = srv[order]
-            rounds_sorted = np.concatenate(job_rounds)[order]
-            sizes_sorted = np.concatenate(job_sizes)[order]
-        else:
-            srv = rounds_sorted = sizes_sorted = _EMPTY_JOBS
-        consume(
-            SizedBlock(
-                start_round=chunk_start,
-                length=chunk,
-                batch=batch_block,
-                received=received_block,
-                done=done_block,
-                queues=queue_block,
-                job_servers=srv,
-                job_rounds=rounds_sorted,
-                job_sizes=sizes_sorted,
-            )
-        )
+        if not unit:
+            # Jobs are concatenated in (round, dispatcher) admission
+            # order; a stable sort by server turns that into the
+            # server-major FIFO order every store requires.
+            if job_servers:
+                srv = np.concatenate(job_servers)
+                order = np.argsort(srv, kind="stable")
+                block.job_servers = srv[order]
+                block.job_rounds = np.concatenate(job_rounds)[order]
+                block.job_sizes = np.concatenate(size_rows)[order]
+            else:
+                block.job_servers = block.job_rounds = block.job_sizes = _EMPTY_JOBS
+        consume(block)
         if wants_blocks:
             block_probes.observe_block(
                 ProbeBlock(
                     start_round=chunk_start,
                     length=chunk,
                     batch=batch_block if "batch" in fields else None,
-                    received=(
-                        received_block if "received" in fields else None
-                    ),
+                    received=received_block if "received" in fields else None,
                     done=done_block if "done" in fields else None,
                     queues=queue_block,
                 )

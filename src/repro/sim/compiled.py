@@ -1,10 +1,10 @@
-"""The ``compiled`` round kernels: numba-jitted hot paths, graceful fallback.
+"""The ``compiled`` round kernel: numba-jitted hot paths, graceful fallback.
 
-ROADMAP item 1.  The fast kernels spend their time in two places: the
-per-block FIFO departure resolution (:mod:`repro.sim.batchstore` -- a
-dozen numpy passes building merged boundary arrays) and, for cheap
-deterministic policies, the per-round ``dispatch_round`` Python
-overhead.  This module compiles both:
+The fast kernel spends its time in two places: the per-block FIFO
+departure resolution (:mod:`repro.sim.batchstore` -- a dozen numpy
+passes building merged boundary arrays) and, for cheap deterministic
+policies, the per-round ``dispatch_round`` Python overhead.  This module
+compiles both:
 
 * :class:`CompiledBatchQueueStore` / :class:`CompiledSizedBatchQueueStore`
   subclass the numpy stores and resolve each block with a single jitted
@@ -16,25 +16,26 @@ overhead.  This module compiles both:
   round-trip between them and the numpy stores.
 * :func:`compiled_round_kernel_for` provides whole-block native round
   loops for the two queue-oblivious deterministic policies (``rr``,
-  ``wrr``): one jitted call advances dispatch state, the queue
-  recurrence and the completion matrix for 256 rounds (the
+  ``wrr``) on unit-size jobs: one jitted call advances dispatch state,
+  the queue recurrence and the completion matrix for 256 rounds (the
   :class:`repro.sim.blockdriver.RoundKernel` seam).  Integer rotation
   arithmetic and elementwise float64 credit updates reproduce the
-  per-round paths bit-for-bit.
+  per-round paths bit-for-bit.  Sized jobs bind sizes to per-round
+  ``(dispatcher, server)`` cells, so they take the store win only.
 
 **Detection and fallback.**  numba is probed once at import; when it is
 missing (or tests force it off via :data:`_FORCE_DISABLED`) every jitted
-function is a plain-Python function, the ``compiled`` backends run the
-fast kernels' numpy stores, and no warning is emitted -- the backend
+function is a plain-Python function, the ``compiled`` backend runs the
+fast kernel's numpy stores, and no warning is emitted -- the backend
 stays registered, works, and reports ``jit_active = False``.  The
 plain-Python bodies are themselves numba-compatible, so the test suite
 exercises the exact compiled control flow even on hosts without numba
 (via the stores' ``force`` flag).
 
-Both backends register as ``"compiled"``; the sharded kernels reuse the
-pieces through the ``sharded:N[:strategy][:compiled]`` resolver
-parameter (compiled shard-side stores plus a compiled coordinator round
-kernel where the policy permits).
+One backend registers as ``"compiled"`` for both job kinds; the sharded
+kernel reuses the pieces through the ``sharded:N[:strategy][:compiled]``
+resolver parameter (compiled shard-side stores plus a compiled
+coordinator round kernel where the policy permits).
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backends import FastBackend, register_backend
-from .batchstore import BatchQueueStore, SizedBatchQueueStore
-from .sizedbackends import SizedFastBackend, register_sized_backend
+from .batchstore import BatchQueueStore, SizedBatchQueueStore, _emit, make_store
 
 __all__ = [
     "HAVE_NUMBA",
@@ -53,7 +53,6 @@ __all__ = [
     "compiled_round_kernel_for",
     "make_shard_store",
     "CompiledBackend",
-    "SizedCompiledBackend",
 ]
 
 try:  # pragma: no cover - exercised as a whole, not per-branch
@@ -291,138 +290,77 @@ def _as_block(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
-class CompiledBatchQueueStore(BatchQueueStore):
-    """A :class:`BatchQueueStore` resolved by the jitted two-pointer walk.
+class _Forceable:
+    """``force`` runs the (plain-Python) compiled control flow without numba.
 
-    Same state arrays, same records, same carry -- checkpoints pickle
-    and restore interchangeably with the numpy store.  When numba is
-    unavailable each call falls back to the numpy implementation unless
-    ``force`` runs the (plain-Python) compiled control flow anyway,
-    which is how the parity tests cover it on numba-less hosts.
+    That is how the parity tests cover the walk on numba-less hosts;
+    otherwise, without numba, each block falls back to the numpy store.
     """
 
     def __init__(self, num_servers: int, force: bool = False) -> None:
         super().__init__(num_servers)
         self.force = bool(force)
 
-    def process_block(
-        self,
-        start_round: int,
-        received_block: np.ndarray,
-        done_block: np.ndarray,
-        histogram,
-        warmup: int = 0,
-        response_sink=None,
+    def _jitted(self) -> bool:
+        return self.force or numba_enabled()
+
+
+class CompiledBatchQueueStore(_Forceable, BatchQueueStore):
+    """A :class:`BatchQueueStore` resolved by the jitted two-pointer walk.
+
+    Same state arrays, same records, same carry -- checkpoints pickle
+    and restore interchangeably with the numpy store.
+    """
+
+    def _resolve(
+        self, start_round, received_block, done_block, totals, dep_totals,
+        histogram, warmup, response_sink,
     ) -> None:
-        if not (self.force or numba_enabled()):
-            return super().process_block(
-                start_round,
-                received_block,
-                done_block,
-                histogram,
-                warmup,
-                response_sink=response_sink,
+        if not self._jitted():
+            return super()._resolve(
+                start_round, received_block, done_block, totals, dep_totals,
+                histogram, warmup, response_sink,
             )
-        received_block = _as_block(received_block)
-        done_block = _as_block(done_block)
-        new_totals = received_block.sum(axis=0)
-        self._check_capacity_mask(new_totals)
-        server_totals = self._jobs + new_totals
-        dep_totals = done_block.sum(axis=0)
-        if np.any(dep_totals > server_totals):
-            raise RuntimeError(
-                "batch store drained past its contents; "
-                "engine accounting is corrupt"
-            )
-        if not server_totals.any():
-            return
         (
             rec_dep,
             rec_time,
             rec_count,
             rec_server,
-            carry_rounds,
-            carry_counts,
-            carry_lengths,
+            self._rounds,
+            self._counts,
+            self._lengths,
         ) = _resolve_unsized(
             self._rounds,
             self._counts,
             self._lengths,
-            received_block,
-            done_block,
+            _as_block(received_block),
+            _as_block(done_block),
             start_round,
             warmup,
         )
-        if histogram is not None:
-            histogram.record_many(rec_time, rec_count)
-        if response_sink is not None:
-            response_sink(rec_dep, rec_time, rec_count, rec_server)
-        self._rounds = carry_rounds
-        self._counts = carry_counts
-        self._lengths = carry_lengths
-        self._jobs = server_totals - dep_totals
+        _emit(histogram, response_sink, rec_dep, rec_time, rec_count, rec_server)
+        self._jobs = totals - dep_totals
 
 
-class CompiledSizedBatchQueueStore(SizedBatchQueueStore):
+class CompiledSizedBatchQueueStore(_Forceable, SizedBatchQueueStore):
     """A :class:`SizedBatchQueueStore` resolved by the jitted unit walk."""
 
-    def __init__(self, num_servers: int, force: bool = False) -> None:
-        super().__init__(num_servers)
-        self.force = bool(force)
-
-    def process_block(
-        self,
-        start_round: int,
-        job_servers: np.ndarray,
-        job_rounds: np.ndarray,
-        job_sizes: np.ndarray,
-        done_block: np.ndarray,
-        histogram,
-        warmup: int = 0,
-        response_sink=None,
+    def _resolve(
+        self, start_round, job_servers, job_rounds, job_sizes, done_block,
+        totals, dep_totals, histogram, warmup, response_sink,
     ) -> None:
-        if not (self.force or numba_enabled()):
-            return super().process_block(
-                start_round,
-                job_servers,
-                job_rounds,
-                job_sizes,
-                done_block,
-                histogram,
-                warmup,
-                response_sink=response_sink,
+        if not self._jitted():
+            return super()._resolve(
+                start_round, job_servers, job_rounds, job_sizes, done_block,
+                totals, dep_totals, histogram, warmup, response_sink,
             )
-        n = self._n
-        job_servers = np.ascontiguousarray(job_servers, dtype=np.int64)
-        job_rounds = np.ascontiguousarray(job_rounds, dtype=np.int64)
-        job_sizes = np.ascontiguousarray(job_sizes, dtype=np.int64)
-        if not (job_servers.shape == job_rounds.shape == job_sizes.shape):
-            raise ValueError("job arrays must be parallel 1-D arrays")
-        if job_sizes.size and int(job_sizes.min()) < 1:
-            raise ValueError("job sizes must be >= 1")
-        if job_servers.size and np.any(np.diff(job_servers) < 0):
-            raise ValueError("jobs must be sorted server-major")
-        self._check_capacity_mask(job_servers)
-        done_block = _as_block(done_block)
-        new_units = np.zeros(n, dtype=np.int64)
-        if job_sizes.size:
-            np.add.at(new_units, job_servers, job_sizes)
-        server_units = self._units + new_units
-        dep_totals = done_block.sum(axis=0)
-        if np.any(dep_totals > server_units):
-            raise RuntimeError(
-                "sized batch store drained past its contents; "
-                "engine accounting is corrupt"
-            )
-        if not server_units.any():
-            return
         (
             rec_dep,
             rec_time,
             rec_server,
-            carry_rounds,
-            carry_units,
-            carry_lengths,
+            self._rounds,
+            self._remaining,
+            self._lengths,
         ) = _resolve_sized(
             self._rounds,
             self._remaining,
@@ -430,19 +368,13 @@ class CompiledSizedBatchQueueStore(SizedBatchQueueStore):
             job_servers,
             job_rounds,
             job_sizes,
-            done_block,
+            _as_block(done_block),
             start_round,
             warmup,
         )
         counts = np.ones(rec_time.size, dtype=np.int64)
-        if histogram is not None:
-            histogram.record_many(rec_time, counts)
-        if response_sink is not None:
-            response_sink(rec_dep, rec_time, counts, rec_server)
-        self._rounds = carry_rounds
-        self._remaining = carry_units
-        self._lengths = carry_lengths
-        self._units = server_units - dep_totals
+        _emit(histogram, response_sink, rec_dep, rec_time, counts, rec_server)
+        self._units = totals - dep_totals
 
 
 def make_shard_store(num_servers: int, sized: bool):
@@ -453,13 +385,9 @@ def make_shard_store(num_servers: int, sized: bool):
     graceful-fallback rule, applied per worker at construction.
     """
     if numba_enabled() or _FORCE_STORES:
-        force = _FORCE_STORES
-        if sized:
-            return CompiledSizedBatchQueueStore(num_servers, force=force)
-        return CompiledBatchQueueStore(num_servers, force=force)
-    if sized:
-        return SizedBatchQueueStore(num_servers)
-    return BatchQueueStore(num_servers)
+        cls = CompiledSizedBatchQueueStore if sized else CompiledBatchQueueStore
+        return cls(num_servers, force=_FORCE_STORES)
+    return make_store(num_servers, unit=not sized)
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +530,19 @@ class CompiledBackend(FastBackend):
 
     Identical round loop (it *is* the shared block driver), so results
     are bit-identical to ``"fast"`` for every deterministic policy and
-    every policy on the base-class dispatch fallback.  When numba is
-    missing the backend still registers and runs -- the store delegates
-    to the numpy resolver and no round kernel is installed, making it
-    the fast kernel under another name (``jit_active`` says which).
+    every policy on the base-class dispatch fallback, for unit-size and
+    sized jobs.  When numba is missing the backend still registers and
+    runs -- the store delegates to the numpy resolver and no round
+    kernel is installed, making it the fast kernel under another name
+    (``jit_active`` says which).
     """
 
     name = "compiled"
     description = (
         "numba-jitted kernel: compiled FIFO departure resolution plus "
-        "whole-block native dispatch for rr/wrr; bit-exact vs fast, "
-        "warning-free fallback to the fast kernel when numba is missing"
+        "whole-block native dispatch for rr/wrr on unit-size jobs; "
+        "bit-exact vs fast, warning-free fallback to the fast kernel "
+        "when numba is missing"
     )
 
     #: Test hook (per instance): run the compiled control flow un-jitted
@@ -624,41 +554,11 @@ class CompiledBackend(FastBackend):
         """True when this backend's hot paths are actually jitted."""
         return numba_enabled()
 
-    def _active(self) -> bool:
-        return self.force or numba_enabled()
-
-    def _make_store(self, num_servers: int) -> CompiledBatchQueueStore:
-        return CompiledBatchQueueStore(num_servers, force=self.force)
+    def _make_store(self, num_servers: int, unit: bool):
+        cls = CompiledBatchQueueStore if unit else CompiledSizedBatchQueueStore
+        return cls(num_servers, force=self.force)
 
     def _round_kernel(self, sim):
-        if not self._active():
+        if not (self.force or numba_enabled()):
             return None
         return compiled_round_kernel_for(sim.policy)
-
-
-@register_sized_backend("compiled")
-class SizedCompiledBackend(SizedFastBackend):
-    """The sized fast kernel with jitted per-job departure resolution.
-
-    The sized round loop cannot batch dispatch across rounds (job sizes
-    bind to per-``(dispatcher, server)`` cells), so the compiled win is
-    the store; everything else is the shared driver, bit-identical to
-    the sized ``"fast"`` kernel.
-    """
-
-    name = "compiled"
-    description = (
-        "numba-jitted sized kernel: compiled per-job FIFO departure "
-        "resolution on the unit axis; bit-exact vs fast, warning-free "
-        "fallback to the fast kernel when numba is missing"
-    )
-
-    force = False
-
-    @property
-    def jit_active(self) -> bool:
-        """True when this backend's hot paths are actually jitted."""
-        return numba_enabled()
-
-    def _make_store(self, num_servers: int) -> CompiledSizedBatchQueueStore:
-        return CompiledSizedBatchQueueStore(num_servers, force=self.force)

@@ -17,7 +17,9 @@ different policies experience identical workloads.
 The round loop itself is pluggable: :class:`SimulationConfig.backend`
 names a round kernel from the :mod:`repro.sim.backends` registry
 (``"reference"`` -- the bit-exact per-object loop, the default -- or
-``"fast"`` -- the vectorized batch kernel).
+``"fast"`` -- the vectorized batch kernel, and more).  The same kernels
+run sized jobs (:mod:`repro.sim.sized`): both engines are thin
+constructors over :class:`SimulationBase`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from .probes import Probe, ProbeSpec
 from .seeding import spawn_streams
 from .service import ServiceProcess
 
-__all__ = ["SimulationConfig", "SimulationResult", "Simulation", "simulate"]
+__all__ = [
+    "SimulationConfig",
+    "SimulationResult",
+    "SimulationBase",
+    "Simulation",
+    "simulate",
+]
 
 
 @dataclass(frozen=True)
@@ -153,37 +161,60 @@ class SimulationResult:
         return {label: probe.summary() for label, probe in self.probes.items()}
 
 
-class Simulation:
-    """Binds a policy to workload processes and runs the round loop."""
+class SimulationBase:
+    """A policy bound to workload processes: what every backend runs.
 
-    def __init__(
+    :class:`Simulation` (unit-size jobs, the paper's model) and
+    :class:`~repro.sim.sized.SizedSimulation` (jobs with work-unit
+    sizes) are thin constructors over this class.  They differ only in
+    their job-size distribution and in the result object they assemble
+    (:meth:`_result`); the backends read the attributes below and pick
+    the unit-size or sized path from :attr:`unit_jobs` alone.
+    """
+
+    #: Job-size distribution; ``None`` means unit-size jobs.
+    sizes = None
+    #: Record the per-round total queue length.
+    track_queue_series = True
+
+    rates: np.ndarray
+    policy: Policy
+    arrivals: ArrivalProcess
+    service: ServiceProcess
+    rounds: int
+    warmup: int
+    seed: int
+    backend: str
+    probes: tuple[ProbeSpec, ...]
+    scenario: str | None
+
+    def _bind(
         self,
-        rates: np.ndarray,
+        rates,
         policy: Policy,
         arrivals: ArrivalProcess,
         service: ServiceProcess,
-        config: SimulationConfig | None = None,
     ) -> None:
+        """Apply the scenario, store the processes, bind the policy."""
         self.rates = np.asarray(rates, dtype=np.float64)
-        self.config = config or SimulationConfig()
         if service.num_servers != self.rates.size:
             raise ValueError(
                 f"service process drives {service.num_servers} servers "
                 f"but {self.rates.size} rates were given"
             )
-        if self.config.scenario is not None:
+        if self.scenario is not None:
             # Applied before bind and before the objects are stored, so
             # run manifests pickle the wrapped policy/arrivals and every
             # kernel (and resume) sees the identical reshaped pair.
             from repro.scenarios import apply_scenario
 
             policy, arrivals = apply_scenario(
-                self.config.scenario, policy, arrivals, self.rates.size
+                self.scenario, policy, arrivals, self.rates.size
             )
         self.policy = policy
         self.arrivals = arrivals
         self.service = service
-        self._streams = spawn_streams(self.config.seed)
+        self._streams = spawn_streams(self.seed)
         policy.bind(
             SystemContext(
                 rates=self.rates,
@@ -194,7 +225,12 @@ class Simulation:
         arrivals.reset()
         service.reset()
 
-    def run(self, controller=None) -> SimulationResult:
+    @property
+    def unit_jobs(self) -> bool:
+        """True when every job is one work unit (the paper's model)."""
+        return self.sizes is None or self.sizes.is_unit
+
+    def run(self, controller=None):
         """Execute all rounds via the configured backend (see ``backends``).
 
         ``controller`` is the optional run-lifecycle seam
@@ -204,7 +240,51 @@ class Simulation:
         """
         from .backends import make_backend
 
-        return make_backend(self.config.backend).run(self, controller)
+        return make_backend(self.backend).run(self, controller)
+
+    def _result(self, probes: dict[str, Probe], state):
+        """The run's result from its probes and final ``RunState``."""
+        raise NotImplementedError
+
+
+class Simulation(SimulationBase):
+    """Binds a policy to workload processes and runs the round loop."""
+
+    def __init__(
+        self,
+        rates: np.ndarray,
+        policy: Policy,
+        arrivals: ArrivalProcess,
+        service: ServiceProcess,
+        config: SimulationConfig | None = None,
+    ) -> None:
+        self.config = config or SimulationConfig()
+        self._bind(rates, policy, arrivals, service)
+
+    # The backends' view of the run, read through the frozen config.
+    rounds = property(lambda self: self.config.rounds)
+    warmup = property(lambda self: self.config.warmup)
+    seed = property(lambda self: self.config.seed)
+    backend = property(lambda self: self.config.backend)
+    probes = property(lambda self: self.config.probes)
+    scenario = property(lambda self: self.config.scenario)
+    track_queue_series = property(lambda self: self.config.track_queue_series)
+
+    def _result(self, probes: dict[str, Probe], state) -> SimulationResult:
+        series = probes.get("queue_series")
+        return SimulationResult(
+            policy_name=self.policy.name,
+            config=self.config,
+            histogram=probes["responses"].histogram,
+            queue_series=series.series if series is not None else None,
+            total_arrived=state.total_jobs,
+            total_departed=state.units_out,
+            final_queued=state.units_queued,
+            final_queues=state.queues,
+            server_received=state.server_received,
+            server_departed=state.server_departed,
+            probes=probes,
+        )
 
 
 def simulate(

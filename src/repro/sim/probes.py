@@ -7,7 +7,7 @@ meant engine surgery.  This module makes observability a first-class,
 registry-backed axis instead:
 
 * A :class:`Probe` accumulates one family of statistics.  Every round
-  kernel -- unsized/sized x reference/fast -- feeds probes through the
+  kernel, for unit-size and sized jobs alike, feeds probes through the
   same *block-shaped* interface: a :class:`ProbeBlock` of per-round
   arrival counts, per-server admissions, completions and end-of-round
   queue snapshots, plus (for probes that ask) the recorded response
@@ -92,10 +92,10 @@ DEFAULT_PROBE_LABELS = ("responses", "queue_series")
 class ProbeContext:
     """Immutable run coordinates handed to every probe at bind time.
 
-    ``sized`` flags the unit-denominated engine: there ``received``,
-    ``done`` and ``queues`` count work units while ``batch`` still
-    counts jobs, and ``rates`` are unit capacities -- so utilization
-    and queue statistics keep their meaning unchanged.
+    ``received``, ``done`` and ``queues`` count work units (jobs, for
+    unit-size jobs) while ``batch`` counts jobs, and ``rates`` are unit
+    capacities -- so utilization and queue statistics mean the same for
+    sized jobs.
     """
 
     num_servers: int
@@ -103,7 +103,6 @@ class ProbeContext:
     rates: np.ndarray
     rounds: int
     warmup: int = 0
-    sized: bool = False
 
 
 @dataclass(frozen=True)

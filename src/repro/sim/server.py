@@ -33,6 +33,17 @@ class ServerQueue:
         self._batches: deque[list[int]] = deque()
         self.length = 0
 
+    @classmethod
+    def from_unit_jobs(cls, queue) -> "ServerQueue":
+        """Adopt a :class:`~repro.sim.sized.SizedServerQueue` of unit jobs.
+
+        Its ``[arrival_round, remaining]`` cells are batches of one.
+        """
+        adopted = cls()
+        adopted._batches = queue._jobs
+        adopted.length = queue.units
+        return adopted
+
     def admit(self, round_index: int, count: int) -> None:
         """Append ``count`` jobs that arrived in round ``round_index``."""
         if count <= 0:

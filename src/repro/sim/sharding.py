@@ -1,10 +1,10 @@
 """Sharded round kernels: one simulation across server-partitioned stores.
 
-The fast kernels (:mod:`repro.sim.backends`, :mod:`repro.sim.sizedbackends`)
-already split each round into a *dispatch* phase that needs only the
-per-server queue totals and a *departure-resolution* phase
-(``BatchQueueStore.process_block``) that is embarrassingly parallel
-across servers.  This module exploits that split: the server axis is
+The fast kernel (:mod:`repro.sim.backends`) already splits each round
+into a *dispatch* phase that needs only the per-server queue totals and
+a *departure-resolution* phase (the batch store's ``process_block``)
+that is embarrassingly parallel across servers.  This module exploits
+that split: the server axis is
 partitioned into contiguous **shards**, each owning an independent batch
 store and its own probe set, while a coordinator runs the round loop --
 sampling the workload, dispatching against the **full global queue
@@ -18,9 +18,12 @@ states fold back into global statistics via
 concatenate, event multisets add).
 
 Because all randomness and all policy decisions live in the coordinator,
-the sharded kernels are **bit-identical to "fast"** for deterministic
+the sharded kernel is **bit-identical to "fast"** for deterministic
 policies at every shard count -- the partition changes where work is
-resolved, never what happens.
+resolved, never what happens.  Unit-size and sized jobs share the one
+kernel: a sized block additionally carries its jobs, cut at the shard
+bounds and handed over in shard-local server coordinates, and each
+worker picks its store from what its first block carries.
 
 Two execution strategies sit behind one shard-plan abstraction:
 
@@ -52,15 +55,14 @@ behind a length-prefixed TCP channel, from
 :mod:`repro.service.shardsocket`) loads lazily so ``repro.sim`` never
 imports the service layer.
 
-Both kernels register as ``"sharded"`` in their engine's registry and
-parameterize through the name itself: ``sharded`` (2 shards, serial),
-``sharded:4``, ``sharded:4:process``, ``sharded:4:socket``.  A
-trailing ``:compiled`` token
-(``sharded:4:compiled``, ``sharded:4:process:compiled``) swaps each
-worker's departure resolver for the jitted two-pointer store from
+The kernel registers as ``"sharded"`` and parameterizes through the
+name itself: ``sharded`` (2 shards, serial), ``sharded:4``,
+``sharded:4:process``, ``sharded:4:socket``.  A trailing ``:compiled``
+token (``sharded:4:compiled``, ``sharded:4:process:compiled``) swaps
+each worker's departure resolver for the jitted two-pointer store from
 :mod:`repro.sim.compiled` (numpy fallback per worker when numba is
-missing) and, unsized, runs the compiled whole-block round loop in the
-coordinator for the policies that have one.
+missing) and, for unit-size jobs, runs the compiled whole-block round
+loop in the coordinator for the policies that have one.
 """
 
 from __future__ import annotations
@@ -70,19 +72,14 @@ import queue
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .backends import _CHUNK_ROUNDS, EngineBackend, register_backend
-from .batchstore import BatchQueueStore, SizedBatchQueueStore
-from .blockdriver import (
-    SizedRunState,
-    UnsizedRunState,
-    drive_sized,
-    drive_unsized,
-)
-from .lifecycle import RunController, validate_start_round
+from .backends import EngineBackend, probe_context, register_backend
+from .batchstore import make_store
+from .blockdriver import Block, RunState, drive, resume
+from .lifecycle import RunController
 from .probes import (
     Probe,
     ProbeBlock,
@@ -93,11 +90,6 @@ from .probes import (
     ResponseTimeProbe,
     probe_from_state,
 )
-from .sizedbackends import SizedEngineBackend, register_sized_backend
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .engine import Simulation, SimulationResult
-    from .sized import SizedSimulation, SizedSimulationResult
 
 __all__ = [
     "ShardPlan",
@@ -107,7 +99,6 @@ __all__ = [
     "SerialShardStrategy",
     "MultiprocessShardStrategy",
     "ShardedBackend",
-    "SizedShardedBackend",
     "register_shard_strategy",
     "resolve_shard_strategy",
     "split_probe_specs",
@@ -177,7 +168,6 @@ class ShardInit:
     num_dispatchers: int
     rounds: int
     warmup: int
-    sized: bool
     track_queue_series: bool
     probe_specs: tuple[ProbeSpec, ...]
     resolver: str = "numpy"
@@ -194,12 +184,12 @@ class ShardInit:
 class ShardWorker:
     """One shard's private state: a batch store plus a bound probe set.
 
-    The same object serves both strategies -- the serial strategy calls
+    The same object serves every strategy -- the serial strategy calls
     it in-process, the process strategy hosts it in a child process.
     Workers see only shard-local arrays: ``received``/``done`` slices of
-    the coordinator's block matrices (and, sized, the shard's jobs in
-    local server coordinates).  Queue slices are reconstructed here from
-    those deltas, so the per-block exchange stays minimal.
+    the coordinator's block matrices (and, for sized jobs, the shard's
+    jobs in local server coordinates).  Queue slices are reconstructed
+    here from those deltas, so the per-block exchange stays minimal.
     """
 
     def __init__(self, init: ShardInit) -> None:
@@ -210,30 +200,30 @@ class ShardWorker:
             rates=init.rates,
             rounds=init.rounds,
             warmup=init.warmup,
-            sized=init.sized,
         )
         pairs: list[tuple[str, Probe]] = [("responses", ResponseTimeProbe())]
         if init.track_queue_series:
             pairs.append(("queue_series", QueueSeriesProbe()))
         for spec in init.probe_specs:
             pairs.append((spec.label, spec.build()))
-        self.sized = init.sized
         self.warmup = init.warmup
+        self.resolver = init.resolver
         self.probes = ProbeSet(pairs, ctx)
-        if init.resolver == "compiled":
-            # Imported lazily: repro.sim.compiled registers backends and
-            # must not be pulled in while the registries are mid-import.
-            from .compiled import make_shard_store
-
-            self.store = make_shard_store(n, init.sized)
-        else:
-            self.store = (
-                SizedBatchQueueStore(n) if init.sized else BatchQueueStore(n)
-            )
+        #: Built by the first block, which says whether jobs are sized.
+        self.store = None
         self.queues = np.zeros(n, dtype=np.int64)
         self._sink = (
             self.probes.observe_responses if self.probes.wants_responses else None
         )
+
+    def _new_store(self, unit: bool):
+        if self.resolver == "compiled":
+            # Imported lazily: repro.sim.compiled registers a backend and
+            # must not be pulled in while the registry is mid-import.
+            from .compiled import make_shard_store
+
+            return make_shard_store(self.queues.size, sized=not unit)
+        return make_store(self.queues.size, unit)
 
     def _advance_queues(self, received: np.ndarray, done: np.ndarray) -> np.ndarray:
         """Replay the block's queue dynamics for this shard's slice."""
@@ -246,36 +236,24 @@ class ShardWorker:
         return queue_block
 
     def process_block(
-        self, start_round: int, received: np.ndarray, done: np.ndarray
-    ) -> None:
-        """Unsized: resolve one block of this shard's FIFO departures."""
-        queue_block = self._advance_queues(received, done)
-        self.store.process_block(
-            start_round,
-            received,
-            done,
-            self.probes.histogram,
-            self.warmup,
-            response_sink=self._sink,
-        )
-        self._observe(start_round, received, done, queue_block)
-
-    def process_sized_block(
         self,
         start_round: int,
         received: np.ndarray,
         done: np.ndarray,
-        job_servers: np.ndarray,
-        job_rounds: np.ndarray,
-        job_sizes: np.ndarray,
+        jobs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        """Sized: jobs arrive server-major in shard-local coordinates."""
+        """Resolve one block of this shard's FIFO departures.
+
+        ``jobs`` is ``(servers, rounds, sizes)`` of the block's sized
+        jobs, server-major in shard-local coordinates, or ``None`` for
+        unit-size jobs (``received`` says everything about those).
+        """
+        if self.store is None:
+            self.store = self._new_store(unit=jobs is None)
         queue_block = self._advance_queues(received, done)
         self.store.process_block(
             start_round,
-            job_servers,
-            job_rounds,
-            job_sizes,
+            *((received,) if jobs is None else jobs),
             done,
             self.probes.histogram,
             self.warmup,
@@ -398,8 +376,7 @@ class ShardStrategy(ABC):
         """Hand one block's shard-local arrays to a worker.
 
         ``payload`` is the positional argument tuple of
-        :meth:`ShardWorker.process_block` (unsized) or
-        :meth:`ShardWorker.process_sized_block` (sized).
+        :meth:`ShardWorker.process_block`.
         """
 
     @abstractmethod
@@ -441,11 +418,7 @@ class SerialShardStrategy(ShardStrategy):
                 worker.restore_state(state)
 
     def feed(self, shard: int, payload: tuple) -> None:
-        worker = self._workers[shard]
-        if worker.sized:
-            worker.process_sized_block(*payload)
-        else:
-            worker.process_block(*payload)
+        self._workers[shard].process_block(*payload)
 
     def snapshot(self) -> list[dict]:
         return [worker.snapshot_state() for worker in self._workers]
@@ -462,10 +435,7 @@ def _shard_worker_main(conn, init: ShardInit) -> None:
             message = conn.recv()
             kind = message[0]
             if kind == "block":
-                if worker.sized:
-                    worker.process_sized_block(*message[1:])
-                else:
-                    worker.process_block(*message[1:])
+                worker.process_block(*message[1:])
             elif kind == "restore":
                 worker.restore_state(message[1])
             elif kind == "snapshot":
@@ -714,12 +684,29 @@ def _fold_shards(shard_maps: list[dict[str, Probe]]) -> dict[str, Probe]:
 
 
 # ---------------------------------------------------------------------------
-# The sharded kernels.
+# The sharded kernel.
 # ---------------------------------------------------------------------------
 
 
-class _ShardedParams:
-    """Shared constructor / registry-parameter parsing of both kernels."""
+@register_backend("sharded")
+class ShardedBackend(EngineBackend):
+    """Server-partitioned fast kernel (see the module docstring).
+
+    The round loop is the fast kernel's, verbatim: identical RNG
+    consumption, identical dispatch calls, identical queue arithmetic
+    -- only the block resolution and the partitionable probes are
+    pushed into the shards.  Bit-identical to ``"fast"`` for
+    deterministic policies at every shard count and under every
+    strategy, for unit-size and sized jobs.
+    """
+
+    name = "sharded"
+    description = (
+        "server-partitioned fast kernel: per-shard batch stores and probe "
+        "sets, folded via Probe.merge_partition; parameterize as "
+        "sharded:N[:serial|process|socket] (bit-exact vs fast for deterministic "
+        "policies)"
+    )
 
     def __init__(
         self,
@@ -746,9 +733,10 @@ class _ShardedParams:
         ``"4:socket"``, ``"4:compiled"``, ``"4:process:compiled"``.
 
         A trailing ``compiled`` token selects the compiled departure
-        resolver (and, unsized, the compiled coordinator round loop);
-        any other token in strategy position is validated as a strategy,
-        so ``sharded:2:quantum`` still reports an unknown strategy.
+        resolver (and, for unit-size jobs, the compiled coordinator
+        round loop); any other token in strategy position is validated
+        as a strategy, so ``sharded:2:quantum`` still reports an unknown
+        strategy.
         """
         parts = param.split(":")
         try:
@@ -771,35 +759,8 @@ class _ShardedParams:
         strategy = rest[0] if rest else "serial"
         return cls(shards=shards, strategy=strategy, resolver=resolver)
 
-    def _shard_inits(
-        self,
-        plan: ShardPlan,
-        rates: np.ndarray,
-        num_dispatchers: int,
-        rounds: int,
-        warmup: int,
-        sized: bool,
-        track_queue_series: bool,
-        probe_specs: tuple[ProbeSpec, ...],
-    ) -> list[ShardInit]:
-        return [
-            ShardInit(
-                index=index,
-                start=lo,
-                rates=rates[lo:hi].copy(),
-                num_dispatchers=num_dispatchers,
-                rounds=rounds,
-                warmup=warmup,
-                sized=sized,
-                track_queue_series=track_queue_series,
-                probe_specs=probe_specs,
-                resolver=self.resolver,
-            )
-            for index, (lo, hi) in enumerate(plan.ranges())
-        ]
-
     def _round_kernel(self, sim):
-        """Subclass/param seam: an optional whole-block native round loop.
+        """An optional whole-block native round loop for the coordinator.
 
         With the ``compiled`` resolver and live jitted paths, the
         coordinator also runs the compiled whole-block round loop for
@@ -814,138 +775,78 @@ class _ShardedParams:
             return None
         return compiled.compiled_round_kernel_for(sim.policy)
 
-    @staticmethod
-    def _assemble_probes(
-        config_specs: tuple[ProbeSpec, ...],
-        folded: dict[str, Probe],
-        coordinator: dict[str, Probe],
-    ) -> dict[str, Probe]:
-        """Final label -> probe map in the fast kernel's order."""
-        probes = {"responses": folded["responses"]}
-        if "queue_series" in folded:
-            probes["queue_series"] = folded["queue_series"]
-        for spec in config_specs:
-            label = ProbeSpec.of(spec).label
-            probes[label] = folded[label] if label in folded else coordinator[label]
-        return probes
-
-
-@register_backend("sharded")
-class ShardedBackend(_ShardedParams, EngineBackend):
-    """Server-partitioned fast kernel (see the module docstring).
-
-    The round loop is the fast kernel's, verbatim: identical RNG
-    consumption, identical dispatch calls, identical queue arithmetic
-    -- only the block resolution and the partitionable probes are
-    pushed into the shards.  Bit-identical to ``"fast"`` for
-    deterministic policies at every shard count and under either
-    strategy.
-    """
-
-    name = "sharded"
-    description = (
-        "server-partitioned fast kernel: per-shard batch stores and probe "
-        "sets, folded via Probe.merge_partition; parameterize as "
-        "sharded:N[:serial|process|socket] (bit-exact vs fast for deterministic "
-        "policies)"
-    )
-
-    def run(
-        self, sim: "Simulation", controller: RunController | None = None
-    ) -> "SimulationResult":
-        from .engine import SimulationResult
-
-        config = sim.config
-        policy = sim.policy
-
+    def run(self, sim, controller: RunController | None = None):
         n = sim.rates.size
-        m = sim.arrivals.num_dispatchers
         plan = ShardPlan.balanced(n, self.shards)
         ranges = plan.ranges()
-        shard_specs, coordinator_specs = split_probe_specs(config.probes)
-        start_round = 0
-        state = None
-        if controller is not None:
-            start_round = validate_start_round(
-                controller.start_round, config.rounds, _CHUNK_ROUNDS
-            )
-            state = controller.initial_state()
+        bounds = np.asarray(plan.bounds, dtype=np.int64)
+        shard_specs, coordinator_specs = split_probe_specs(sim.probes)
+        start_round, state = resume(controller, sim.rounds, sim.unit_jobs)
         if state is not None:
             coordinator_probes = state["coordinator_probes"]
-            run_state = UnsizedRunState(
-                queues=state["queues"],
-                total_arrived=state["total_arrived"],
-                server_received=state["server_received"],
-                server_departed=state["server_departed"],
-            )
             shard_states = state["shards"]
         else:
             coordinator_probes = ProbeSet(
                 [(spec.label, spec.build()) for spec in coordinator_specs],
-                ProbeContext(
-                    num_servers=n,
-                    num_dispatchers=m,
-                    rates=sim.rates,
-                    rounds=config.rounds,
-                    warmup=config.warmup,
-                    sized=False,
-                ),
-            )
-            run_state = UnsizedRunState(
-                queues=np.zeros(n, dtype=np.int64),
-                total_arrived=0,
-                server_received=np.zeros(n, dtype=np.int64),
-                server_departed=np.zeros(n, dtype=np.int64),
+                probe_context(sim),
             )
             shard_states = None
+        run_state = RunState.restore(state, n)
         strategy = resolve_shard_strategy(self.strategy)()
 
-        def consume(block) -> None:
+        def consume(block: Block) -> None:
             # The per-block exchange: each shard gets its slice of the
             # admission/completion matrices (its queue slice and series
-            # follow from those deltas worker-side).
+            # follow from those deltas worker-side) and, for sized jobs,
+            # its cut of the server-major job arrays.
+            if block.job_servers is not None:
+                cuts = np.searchsorted(block.job_servers, bounds)
             for index, (lo, hi) in enumerate(ranges):
+                jobs = None
+                if block.job_servers is not None:
+                    a, b = int(cuts[index]), int(cuts[index + 1])
+                    jobs = (
+                        block.job_servers[a:b] - lo,
+                        block.job_rounds[a:b],
+                        block.job_sizes[a:b],
+                    )
                 strategy.feed(
                     index,
                     (
                         block.start_round,
                         block.received[:, lo:hi],
                         block.done[:, lo:hi],
+                        jobs,
                     ),
                 )
 
         def export_state() -> dict:
             return {
                 "coordinator_probes": coordinator_probes,
-                "queues": run_state.queues,
-                "total_arrived": run_state.total_arrived,
-                "server_received": run_state.server_received,
-                "server_departed": run_state.server_departed,
+                **run_state.export(),
                 "shards": strategy.snapshot(),
             }
 
         try:
             strategy.start(
-                self._shard_inits(
-                    plan,
-                    sim.rates,
-                    m,
-                    config.rounds,
-                    config.warmup,
-                    sized=False,
-                    track_queue_series=config.track_queue_series,
-                    probe_specs=shard_specs,
-                ),
+                [
+                    ShardInit(
+                        index=index,
+                        start=lo,
+                        rates=sim.rates[lo:hi].copy(),
+                        num_dispatchers=sim.arrivals.num_dispatchers,
+                        rounds=sim.rounds,
+                        warmup=sim.warmup,
+                        track_queue_series=sim.track_queue_series,
+                        probe_specs=shard_specs,
+                        resolver=self.resolver,
+                    )
+                    for index, (lo, hi) in enumerate(ranges)
+                ],
                 states=shard_states,
             )
-            drive_unsized(
-                policy=policy,
-                arrivals=sim.arrivals,
-                service=sim.service,
-                arrival_rng=sim._streams.arrivals,
-                departure_rng=sim._streams.departures,
-                rounds=config.rounds,
-                warmup=config.warmup,
+            drive(
+                sim,
                 start_round=start_round,
                 state=run_state,
                 block_probes=coordinator_probes,
@@ -959,174 +860,12 @@ class ShardedBackend(_ShardedParams, EngineBackend):
         finally:
             strategy.close()
 
-        probes = self._assemble_probes(
-            config.probes, folded, coordinator_probes.as_dict()
-        )
-        queue_series_probe = probes.get("queue_series")
-        return SimulationResult(
-            policy_name=policy.name,
-            config=config,
-            histogram=probes["responses"].histogram,
-            queue_series=(
-                queue_series_probe.series if queue_series_probe is not None else None
-            ),
-            total_arrived=run_state.total_arrived,
-            total_departed=int(run_state.server_departed.sum()),
-            final_queued=int(run_state.queues.sum()),
-            final_queues=run_state.queues,
-            server_received=run_state.server_received,
-            server_departed=run_state.server_departed,
-            probes=probes,
-        )
-
-
-_EMPTY_JOBS = np.empty(0, dtype=np.int64)
-
-
-@register_sized_backend("sharded")
-class SizedShardedBackend(_ShardedParams, SizedEngineBackend):
-    """Server-partitioned sized fast kernel.
-
-    Mirrors :class:`ShardedBackend` for the unit-denominated engine:
-    the coordinator repeats the sized fast kernel's pre-sampling
-    (arrival/size interleaving and all) and dispatching exactly, then
-    routes each block's jobs -- already sorted server-major -- to the
-    owning shard in shard-local server coordinates.  Bit-identical to
-    the sized ``"fast"`` kernel for deterministic policies at every
-    shard count.
-    """
-
-    name = "sharded"
-    description = (
-        "server-partitioned sized fast kernel: per-shard unit stores and "
-        "probe sets, folded via Probe.merge_partition; parameterize as "
-        "sharded:N[:serial|process|socket] (bit-exact vs fast for deterministic "
-        "policies)"
-    )
-
-    def run(
-        self, sim: "SizedSimulation", controller: RunController | None = None
-    ) -> "SizedSimulationResult":
-        from .sized import SizedSimulationResult
-
-        policy = sim.policy
-
-        n = sim.rates.size
-        m = sim.arrivals.num_dispatchers
-        plan = ShardPlan.balanced(n, self.shards)
-        ranges = plan.ranges()
-        bounds = np.asarray(plan.bounds, dtype=np.int64)
-        shard_specs, coordinator_specs = split_probe_specs(sim.probes)
-        start_round = 0
-        state = None
-        if controller is not None:
-            start_round = validate_start_round(
-                controller.start_round, sim.rounds, _CHUNK_ROUNDS
-            )
-            state = controller.initial_state()
-        if state is not None:
-            coordinator_probes = state["coordinator_probes"]
-            run_state = SizedRunState(
-                unit_queues=state["unit_queues"],
-                total_jobs=state["total_jobs"],
-                units_in=state["units_in"],
-                units_out=state["units_out"],
-            )
-            shard_states = state["shards"]
-        else:
-            coordinator_probes = ProbeSet(
-                [(spec.label, spec.build()) for spec in coordinator_specs],
-                ProbeContext(
-                    num_servers=n,
-                    num_dispatchers=m,
-                    rates=sim.rates,
-                    rounds=sim.rounds,
-                    warmup=sim.warmup,
-                    sized=True,
-                ),
-            )
-            run_state = SizedRunState(
-                unit_queues=np.zeros(n, dtype=np.int64),
-                total_jobs=0,
-                units_in=0,
-                units_out=0,
-            )
-            shard_states = None
-        strategy = resolve_shard_strategy(self.strategy)()
-
-        def consume(block) -> None:
-            # Cut the server-major job arrays at the shard bounds; each
-            # shard gets its jobs in shard-local server coordinates.
-            cuts = np.searchsorted(block.job_servers, bounds)
-            for index, (lo, hi) in enumerate(ranges):
-                a, b = int(cuts[index]), int(cuts[index + 1])
-                strategy.feed(
-                    index,
-                    (
-                        block.start_round,
-                        block.received[:, lo:hi],
-                        block.done[:, lo:hi],
-                        block.job_servers[a:b] - lo,
-                        block.job_rounds[a:b],
-                        block.job_sizes[a:b],
-                    ),
-                )
-
-        def export_state() -> dict:
-            return {
-                "coordinator_probes": coordinator_probes,
-                "unit_queues": run_state.unit_queues,
-                "total_jobs": run_state.total_jobs,
-                "units_in": run_state.units_in,
-                "units_out": run_state.units_out,
-                "shards": strategy.snapshot(),
-            }
-
-        try:
-            strategy.start(
-                self._shard_inits(
-                    plan,
-                    sim.rates,
-                    m,
-                    sim.rounds,
-                    sim.warmup,
-                    sized=True,
-                    track_queue_series=True,
-                    probe_specs=shard_specs,
-                ),
-                states=shard_states,
-            )
-            drive_sized(
-                policy=policy,
-                arrivals=sim.arrivals,
-                service=sim.service,
-                sizes=sim.sizes,
-                arrival_rng=sim._streams.arrivals,
-                departure_rng=sim._streams.departures,
-                rounds=sim.rounds,
-                start_round=start_round,
-                state=run_state,
-                block_probes=coordinator_probes,
-                series=None,  # shard workers record their own slices
-                collect_received=True,
-                consume=consume,
-                controller=controller,
-                export_state=export_state,
-            )
-            folded = _fold_shards(strategy.finish())
-        finally:
-            strategy.close()
-
-        probes = self._assemble_probes(
-            sim.probes, folded, coordinator_probes.as_dict()
-        )
-        return SizedSimulationResult(
-            policy_name=policy.name,
-            histogram=probes["responses"].histogram,
-            queue_series=probes["queue_series"].series,
-            total_jobs=run_state.total_jobs,
-            total_units_arrived=run_state.units_in,
-            total_units_departed=run_state.units_out,
-            final_units_queued=int(run_state.unit_queues.sum()),
-            probes=probes,
-        )
+        # Final label -> probe map in the fast kernel's order.
+        coordinator = coordinator_probes.as_dict()
+        probes = {"responses": folded["responses"]}
+        if "queue_series" in folded:
+            probes["queue_series"] = folded["queue_series"]
+        for spec in sim.probes:
+            label = ProbeSpec.of(spec).label
+            probes[label] = folded[label] if label in folded else coordinator[label]
+        return sim._result(probes, run_state)

@@ -13,11 +13,13 @@ return per-server *job* counts; the engine draws each job's size from a
 :class:`JobSizeDistribution` whose stream lives with the arrival streams
 (sizes are workload, not policy, randomness).
 
-The round loop itself is pluggable: ``backend`` names a sized round
-kernel from the :mod:`repro.sim.sizedbackends` registry (``"reference"``
--- the bit-exact per-object loop, the default -- ``"fast"`` -- the
-vectorized unit-denominated kernel -- or ``"sharded:N"`` -- the
-server-partitioned kernel of :mod:`repro.sim.sharding`).
+:class:`SizedSimulation` is a thin constructor over
+:class:`repro.sim.engine.SimulationBase`: ``backend`` names a round
+kernel in the one :mod:`repro.sim.backends` registry, exactly as for
+:class:`~repro.sim.engine.Simulation`, and the size distribution alone
+picks the kernel's path -- ``DeterministicSize(1)`` jobs *are* the base
+model's unit jobs and take the batch-granular unit-size path, every
+other distribution the per-job sized path.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.policies.base import Policy, SystemContext
+from repro.policies.base import Policy
 
 from .arrivals import ArrivalProcess
+from .engine import SimulationBase
 from .metrics import QueueLengthSeries, ResponseTimeHistogram
 from .probes import Probe, ProbeSpec
-from .seeding import spawn_streams
 from .service import ServiceProcess
 
 __all__ = [
@@ -64,6 +66,11 @@ class JobSizeDistribution(ABC):
     def second_moment(self) -> float:
         """``E[W^2]``."""
 
+    @property
+    def is_unit(self) -> bool:
+        """True when every job is exactly one unit (the base model)."""
+        return False
+
 
 class DeterministicSize(JobSizeDistribution):
     """Every job needs exactly ``size`` units; size 1 recovers the base model."""
@@ -79,6 +86,10 @@ class DeterministicSize(JobSizeDistribution):
     @property
     def mean(self) -> float:
         return float(self.size)
+
+    @property
+    def is_unit(self) -> bool:
+        return self.size == 1
 
     @property
     def second_moment(self) -> float:
@@ -208,13 +219,15 @@ class SizedSimulationResult:
         return {label: probe.summary() for label, probe in self.probes.items()}
 
 
-class SizedSimulation:
+class SizedSimulation(SimulationBase):
     """Round engine over work-unit queues (drop-in analog of Simulation).
 
     ``warmup`` discards response times of jobs *completing* during the
     first ``warmup`` rounds (unit accounting still includes them), and
     ``probes`` appends extra observability probes to the default
     collectors, both exactly as in :class:`repro.sim.engine.SimulationConfig`.
+    ``DeterministicSize(1)`` jobs take the unit-size path and reproduce
+    :class:`~repro.sim.engine.Simulation` bit for bit.
     """
 
     def __init__(
@@ -231,26 +244,12 @@ class SizedSimulation:
         probes: tuple = (),
         scenario: str | None = None,
     ) -> None:
-        self.rates = np.asarray(rates, dtype=np.float64)
-        if service.num_servers != self.rates.size:
-            raise ValueError("service process size mismatch")
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0 <= warmup < rounds:
             raise ValueError("warmup must be in [0, rounds)")
         if not backend:
             raise ValueError("backend must be a non-empty registry name")
-        if scenario is not None:
-            # Same single application point as the unsized engine: wrap
-            # before bind so checkpoints carry the reshaped objects.
-            from repro.scenarios import apply_scenario
-
-            policy, arrivals = apply_scenario(
-                scenario, policy, arrivals, self.rates.size
-            )
-        self.policy = policy
-        self.arrivals = arrivals
-        self.service = service
         self.sizes = sizes
         self.rounds = int(rounds)
         self.warmup = int(warmup)
@@ -258,24 +257,16 @@ class SizedSimulation:
         self.backend = backend
         self.scenario = scenario
         self.probes = tuple(ProbeSpec.of(p) for p in probes)
-        self._streams = spawn_streams(seed)
-        policy.bind(
-            SystemContext(
-                rates=self.rates,
-                num_dispatchers=arrivals.num_dispatchers,
-                rng=self._streams.policy,
-            )
+        self._bind(rates, policy, arrivals, service)
+
+    def _result(self, probes: dict[str, Probe], state) -> SizedSimulationResult:
+        return SizedSimulationResult(
+            policy_name=self.policy.name,
+            histogram=probes["responses"].histogram,
+            queue_series=probes["queue_series"].series,
+            total_jobs=state.total_jobs,
+            total_units_arrived=state.units_in,
+            total_units_departed=state.units_out,
+            final_units_queued=state.units_queued,
+            probes=probes,
         )
-        arrivals.reset()
-        service.reset()
-
-    def run(self, controller=None) -> SizedSimulationResult:
-        """Execute all rounds via the configured backend (see ``sizedbackends``).
-
-        ``controller`` is the optional run-lifecycle seam
-        (:class:`repro.sim.lifecycle.RunController`), exactly as in
-        :meth:`repro.sim.engine.Simulation.run`.
-        """
-        from .sizedbackends import make_sized_backend
-
-        return make_sized_backend(self.backend).run(self, controller)

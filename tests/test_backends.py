@@ -156,9 +156,9 @@ class TestRegistry:
                 wrapper(ExperimentConfig(rounds=150, backend="bogus"))
 
     def test_experiment_validates_backend_per_registry(self):
-        """Sized cells resolve the backend in the sized registry: known
-        names (fast included) construct, unknown names fail at
-        construction with the sized registry's own error message."""
+        """Sized and unit-size cells resolve the backend in the one
+        registry: known names (fast included) construct, unknown names
+        fail at construction with the registry's own error message."""
         from repro.experiments import Experiment, WorkloadSpec
         from repro.sim.sized import GeometricSize
         from repro.workloads.scenarios import SystemSpec
@@ -171,7 +171,7 @@ class TestRegistry:
             workloads=(WorkloadSpec.sized(GeometricSize(2.0)),),
         )
         assert Experiment(**sized, backend="fast").backend == "fast"
-        with pytest.raises(ValueError, match="unknown sized engine backend"):
+        with pytest.raises(ValueError, match="unknown engine backend"):
             Experiment(**sized, backend="warp-drive")
         with pytest.raises(ValueError, match="unknown engine backend"):
             Experiment(

@@ -33,13 +33,15 @@ class TestPolicies:
 
 class TestBackends:
     def test_lists_both_registries(self, capsys):
+        """Unit-size and sized jobs share one registry: one table, whose
+        capability column flags the unit-only backends."""
         code, out = run_cli(capsys, "backends")
         assert code == 0
-        assert "engine backends (unsized jobs):" in out
-        assert "sized engine backends (unit-denominated queues):" in out
-        # Both registries carry reference and fast.
-        assert out.count("reference") == 2
-        assert out.count("fast") >= 2
+        assert "engine backends (unit-size and sized jobs):" in out
+        rows = {line.split()[0]: line for line in out.splitlines()[1:]}
+        assert {"reference", "fast", "compiled", "sharded", "meanfield"} <= set(rows)
+        assert "unit-only" in rows["meanfield"]
+        assert "unit-only" not in rows["fast"]
 
 
 class TestExperiment:

@@ -1,7 +1,8 @@
 """Tests for the compiled kernel module itself (ISSUE 7 acceptance).
 
-The backend-level bit-identity lives in the three parity suites
-(``test_backends``, ``test_sized_backends``, ``test_sharding``); this
+The backend-level bit-identity lives in the parity suites
+(``test_backends``, ``test_sized_backends``, ``test_sharding``,
+``test_golden_digests``); this
 file covers the pieces those run through indirectly:
 
 * the jitted two-pointer resolvers against the numpy stores directly,
@@ -29,18 +30,16 @@ from hypothesis import strategies as st
 
 from repro.policies.base import make_policy
 from repro.sim import compiled
-from repro.sim.backends import available_backends, make_backend
+from repro.sim.backends import available_backends, backend_capabilities, make_backend
 from repro.sim.batchstore import BatchQueueStore, SizedBatchQueueStore
 from repro.sim.compiled import (
     CompiledBackend,
     CompiledBatchQueueStore,
     CompiledSizedBatchQueueStore,
-    SizedCompiledBackend,
     compiled_round_kernel_for,
     make_shard_store,
 )
 from repro.sim.metrics import ResponseTimeHistogram
-from repro.sim.sizedbackends import available_sized_backends, make_sized_backend
 
 
 class Recorder:
@@ -215,11 +214,9 @@ class TestFallback:
         assert backend.name == "compiled"
         assert backend.jit_active is False
         assert "fallback" in backend.description
-        sized = make_sized_backend("compiled")
-        assert isinstance(sized, SizedCompiledBackend)
-        assert sized.jit_active is False
+        assert isinstance(backend._make_store(3, unit=False), CompiledSizedBatchQueueStore)
         # The store delegates to the numpy resolver...
-        store = backend._make_store(3)
+        store = backend._make_store(3, unit=True)
         assert isinstance(store, CompiledBatchQueueStore)
         histogram = ResponseTimeHistogram()
         block = np.ones((2, 3), dtype=np.int64)
@@ -229,8 +226,9 @@ class TestFallback:
         assert backend._round_kernel(_FakeSim(make_policy("rr"))) is None
 
     def test_registered_in_both_registries(self):
+        """One registry serves both job kinds; compiled runs sized jobs."""
         assert "compiled" in available_backends()
-        assert "compiled" in available_sized_backends()
+        assert backend_capabilities("compiled").sized_jobs
 
     def test_compiled_takes_no_parameters(self):
         with pytest.raises(ValueError, match="takes no ':' parameters"):

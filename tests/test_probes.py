@@ -415,7 +415,7 @@ class TestBuiltinSemantics:
             probe = ServerResponseStatsProbe()
             probe.bind(ProbeContext(
                 num_servers=n, num_dispatchers=1, rates=np.ones(n),
-                rounds=10, warmup=0, sized=False))
+                rounds=10, warmup=0))
             return probe
 
         left, right = bound(2), bound(1)
@@ -435,7 +435,7 @@ class TestBuiltinSemantics:
         for probe, n in ((a, 2), (b, 3)):
             probe.bind(ProbeContext(
                 num_servers=n, num_dispatchers=1, rates=np.ones(n),
-                rounds=10, warmup=0, sized=False))
+                rounds=10, warmup=0))
         with pytest.raises(ValueError, match="matching server counts"):
             a.merge(b)
 

@@ -35,6 +35,7 @@ from repro.runs import (
     follow_events,
     inspect_run,
     iter_events,
+    probe_summaries_from_state,
     retained_rounds,
     scan_runs,
 )
@@ -238,6 +239,35 @@ class TestRun:
         )
         assert "herding" in snapshot["summaries"]
         assert snapshot["summaries"]["herding"]["rounds"] == BLOCK_ROUNDS
+
+    @pytest.mark.parametrize("backend", ["fast", "sharded:2", "reference"])
+    @pytest.mark.parametrize("sized", [False, True])
+    def test_snapshot_summaries_match_stored_blobs(
+        self, tmp_path, monkeypatch, backend, sized
+    ):
+        """Summaries come from the live state, never a re-unpickled blob,
+        and still equal what each stored checkpoint holds."""
+        loads = []
+        real_loads = pickle.loads
+        monkeypatch.setattr(
+            pickle, "loads", lambda *a, **k: loads.append(1) or real_loads(*a, **k)
+        )
+        run = Run.create(build_sim(backend, sized), tmp_path / "r")
+        result = run.execute()
+        assert loads == [1]  # spec.pkl only
+        monkeypatch.undo()
+        snapshots = {
+            e["round"]: e["summaries"]
+            for e in iter_events(run.telemetry_path)
+            if e["event"] == "probe-snapshot"
+        }
+        assert sorted(snapshots) == run.store.rounds() == [256, 512, 768]
+        for round_index, summaries in snapshots.items():
+            blob = (run.store.directory / f"ckpt-{round_index:010d}.pkl").read_bytes()
+            stored = probe_summaries_from_state(pickle.loads(blob)["kernel"])
+            assert json.loads(json.dumps(stored)) == summaries
+        # Reading the live state left the run's own results untouched.
+        assert fingerprint(result) == baseline(backend, sized)
 
     def test_telemetry_override_path(self, tmp_path):
         run = Run.create(

@@ -72,6 +72,27 @@ def wait_until(predicate, timeout: float = 30.0, interval: float = 0.02):
     raise AssertionError(f"condition not reached within {timeout}s")
 
 
+def _service_threads() -> list[str]:
+    return sorted(
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("federation-") or thread.name == "service-api"
+    )
+
+
+@pytest.fixture(autouse=True)
+def stops_every_service_thread():
+    """Fail any test that leaves a coordinator or API thread running."""
+    before = _service_threads()
+    yield
+    # A connection handler exits right after stop() closes its channel;
+    # allow it a moment to unwind, far below any join timeout.
+    deadline = time.monotonic() + 0.5
+    while _service_threads() != before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _service_threads() == before, "test left service threads running"
+
+
 # ---------------------------------------------------------------------------
 # The wire transport.
 # ---------------------------------------------------------------------------
@@ -193,9 +214,9 @@ class TestSocketShardStrategy:
         assert resumed.histogram.state_dict() == baseline.histogram.state_dict()
 
     def test_registry_grammar_accepts_socket(self):
-        from repro.sim.sharding import _ShardedParams
+        from repro.sim.sharding import ShardedBackend
 
-        params = _ShardedParams.from_param("4:socket")
+        params = ShardedBackend.from_param("4:socket")
         assert (params.shards, params.strategy) == (4, "socket")
 
     def test_unknown_strategy_names_socket_in_error(self):
@@ -402,6 +423,21 @@ class TestFederation:
         kinds = [e["event"] for e in iter_events(manager.telemetry_path(job))]
         assert "cell-failed" in kinds
         assert "job-failed" in kinds
+
+    def test_stop_is_prompt_with_idle_and_unregistered_connections(self, tmp_path):
+        manager = JobManager(tmp_path / "data")
+        coordinator = FederationCoordinator(manager, heartbeat_interval=30.0)
+        coordinator.start()
+        # A peer that connects but never registers parks its handler in
+        # recv(); stop() must wake it as well as the accept loop.
+        idle = connect_channel(coordinator.address)
+        wait_until(lambda: "federation-conn" in _service_threads())
+        started = time.monotonic()
+        coordinator.stop()
+        assert time.monotonic() - started < 1.0
+        assert not [name for name in _service_threads() if name.startswith("federation-")]
+        idle.close()
+        manager.close()
 
 
 class TestFailover:

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.policies.base import make_policy
 from repro.sim import probes as probes_module
 from repro.sim.arrivals import PoissonArrivals
-from repro.sim.backends import available_backends, make_backend
+from repro.sim.backends import available_backends, backend_capabilities, make_backend
 from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.probes import (
     Probe,
@@ -46,11 +46,9 @@ from repro.sim.sharding import (
     SerialShardStrategy,
     ShardedBackend,
     ShardPlan,
-    SizedShardedBackend,
     split_probe_specs,
 )
 from repro.sim.sized import GeometricSize, SizedSimulation
-from repro.sim.sizedbackends import available_sized_backends, make_sized_backend
 
 #: Each parity family must stay bit-identical to "fast" under sharding.
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
@@ -180,16 +178,17 @@ class TestShardPlan:
 
 class TestRegistry:
     def test_registered_in_both_registries(self):
+        """One registry serves both job kinds; sharded runs sized jobs."""
         assert "sharded" in available_backends()
-        assert "sharded" in available_sized_backends()
+        assert backend_capabilities("sharded:2").sized_jobs
 
     def test_parameterized_names_resolve(self):
         backend = make_backend("sharded:4")
         assert isinstance(backend, ShardedBackend)
         assert backend.shards == 4 and backend.strategy == "serial"
-        sized = make_sized_backend("SHARDED:2:process")
-        assert isinstance(sized, SizedShardedBackend)
-        assert sized.shards == 2 and sized.strategy == "process"
+        upper = make_backend("SHARDED:2:process")
+        assert isinstance(upper, ShardedBackend)
+        assert upper.shards == 2 and upper.strategy == "process"
         bare = make_backend("sharded")
         assert bare.shards == 2 and bare.strategy == "serial"
 
@@ -214,7 +213,7 @@ class TestRegistry:
         assert backend.shards == 4
         assert backend.strategy == "serial"
         assert backend.resolver == "compiled"
-        both = make_sized_backend("sharded:2:process:compiled")
+        both = make_backend("sharded:2:process:compiled")
         assert both.strategy == "process" and both.resolver == "compiled"
         assert make_backend("sharded:2").resolver == "numpy"
         with pytest.raises(ValueError, match="unknown shard strategy"):

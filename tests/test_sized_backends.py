@@ -1,8 +1,8 @@
-"""Tests for the sized-engine backend registry and the vectorized sized kernel.
+"""Tests for sized jobs on the engine backends and the vectorized sized path.
 
-The contract under test (ISSUE 3 acceptance):
+The contract under test:
 
-* the sized backend registry mirrors the base engine registry
+* sized simulations resolve backends in the one engine registry
   (names, errors, descriptions);
 * the ``"fast"`` sized backend is *bit-identical* to ``"reference"`` --
   same seeds give the same :class:`SizedSimulationResult` including
@@ -39,12 +39,12 @@ from repro.sim.sized import (
     SizedServerQueue,
     SizedSimulation,
 )
-from repro.sim.sizedbackends import (
-    SizedFastBackend,
-    SizedReferenceBackend,
-    available_sized_backends,
-    make_sized_backend,
-    sized_backend_descriptions,
+from repro.sim.backends import (
+    FastBackend,
+    ReferenceBackend,
+    available_backends,
+    backend_descriptions,
+    make_backend,
 )
 
 #: Policies whose decisions involve no randomness (native batch paths
@@ -88,7 +88,7 @@ def run_once(policy, sizes, backend, seed=0, n=8, m=3, rho=0.85, rounds=400):
 def forced_sized_compiled():
     """A sized ``compiled`` backend running the compiled control flow
     even without numba (the plain-Python twins of the jitted code)."""
-    backend = make_sized_backend("compiled")
+    backend = make_backend("compiled")
     backend.force = True
     return backend
 
@@ -106,41 +106,44 @@ def assert_identical(a, b):
 
 class TestRegistry:
     def test_both_backends_registered(self):
-        assert {"reference", "fast"} <= set(available_sized_backends())
+        assert {"reference", "fast"} <= set(available_backends())
 
     def test_mirrors_base_registry_names(self):
-        from repro.sim.backends import available_backends, backend_capabilities
+        """Sized jobs run on every simulation kernel of the one registry;
+        only analytic backends (no job-size dimension) are unit-only."""
+        from repro.sim.backends import backend_capabilities
 
-        base = set(available_backends())
-        sized = set(available_sized_backends())
-        # Analytic backends integrate a fluid limit that has no
-        # job-size dimension, so they live only in the unsized registry;
-        # every simulation kernel must exist in both.
-        analytic = {name for name in base if backend_capabilities(name).analytic}
-        assert "meanfield" in analytic
-        assert base - analytic == sized
+        unit_only = {
+            name for name in available_backends()
+            if not backend_capabilities(name).sized_jobs
+        }
+        analytic = {
+            name for name in available_backends()
+            if backend_capabilities(name).analytic
+        }
+        assert unit_only == analytic == {"meanfield"}
 
     def test_descriptions_cover_all(self):
-        descriptions = sized_backend_descriptions()
-        assert set(descriptions) == set(available_sized_backends())
+        descriptions = backend_descriptions()
+        assert set(descriptions) == set(available_backends())
         assert all(descriptions.values())
 
     def test_make_backend_by_name_and_passthrough(self):
-        assert isinstance(make_sized_backend("reference"), SizedReferenceBackend)
-        assert isinstance(make_sized_backend("FAST"), SizedFastBackend)
-        instance = SizedFastBackend()
-        assert make_sized_backend(instance) is instance
+        assert isinstance(make_backend("reference"), ReferenceBackend)
+        assert isinstance(make_backend("FAST"), FastBackend)
+        instance = FastBackend()
+        assert make_backend(instance) is instance
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown sized engine backend"):
-            make_sized_backend("warp-drive")
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            make_backend("warp-drive")
 
     def test_simulation_rejects_empty_backend(self):
         with pytest.raises(ValueError, match="non-empty"):
             run_once("jsq", DeterministicSize(1), backend="", rounds=10)
 
     def test_unknown_backend_fails_at_run(self):
-        with pytest.raises(ValueError, match="unknown sized engine backend"):
+        with pytest.raises(ValueError, match="unknown engine backend"):
             run_once("jsq", DeterministicSize(1), backend="warp-drive", rounds=10)
 
 
@@ -199,8 +202,8 @@ class TestCompiledBitExactness:
     exact (plain-Python) body."""
 
     def test_registered_with_description(self):
-        assert "compiled" in available_sized_backends()
-        assert sized_backend_descriptions()["compiled"]
+        assert "compiled" in available_backends()
+        assert backend_descriptions()["compiled"]
 
     @pytest.mark.parametrize("dist", sorted(SIZE_DISTRIBUTIONS))
     @pytest.mark.parametrize(
@@ -556,7 +559,7 @@ class TestEndToEndPlumbing:
         from repro.experiments.workload import WorkloadSpec
         from repro.workloads.scenarios import SystemSpec
 
-        with pytest.raises(ValueError, match="unknown sized engine backend"):
+        with pytest.raises(ValueError, match="unknown engine backend"):
             simulate_cell(
                 "jsq",
                 SystemSpec(4, 1),
