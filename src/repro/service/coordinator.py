@@ -321,16 +321,16 @@ class FederationCoordinator:
         lease = self._active(worker, token)
         if lease is None:
             return {"accepted": False}
-        with self._lock:
+        with self._lock:  # requeued before drained() can see it gone
             del self._leases[token]
-        self.manager.emit(
-            lease.job_id,
-            "cell-failed",
-            cell=lease.cell_index,
-            worker=worker.name,
-            error=error,
-        )
-        self.manager.requeue_cell(lease.job_id, lease.cell_index, failed=True)
+            self.manager.emit(
+                lease.job_id,
+                "cell-failed",
+                cell=lease.cell_index,
+                worker=worker.name,
+                error=error,
+            )
+            self.manager.requeue_cell(lease.job_id, lease.cell_index, failed=True)
         return {"accepted": True}
 
     # -- failure detection -------------------------------------------------
@@ -350,7 +350,12 @@ class FederationCoordinator:
                 worker.channel.close()  # unblocks its handler thread
 
     def _worker_lost(self, worker: _Worker, reason: str = "disconnected") -> None:
-        """Revoke and requeue everything a gone worker held (idempotent)."""
+        """Revoke and requeue everything a gone worker held (idempotent).
+
+        Holds the lock until the cells are requeued: :meth:`drained`
+        must never see a revoked lease whose cell is not queued yet, or
+        idle workers would exit with work outstanding.
+        """
         with self._lock:
             if not worker.alive:
                 return
@@ -360,29 +365,28 @@ class FederationCoordinator:
             ]
             for lease in revoked:
                 del self._leases[lease.token]
-        if worker.departed:
-            self.manager.telemetry.emit("worker-departed", worker=worker.name)
-        else:
-            self.manager.telemetry.emit(
-                "worker-lost", worker=worker.name, reason=reason, leases=len(revoked)
-            )
-        for lease in revoked:
-            self.manager.emit(
-                lease.job_id,
-                "cell-reassigned",
-                cell=lease.cell_index,
-                worker=worker.name,
-                checkpoint_round=lease.checkpoint_round,
-            )
-            self.manager.requeue_cell(lease.job_id, lease.cell_index)
+            if worker.departed:
+                self.manager.telemetry.emit("worker-departed", worker=worker.name)
+            else:
+                self.manager.telemetry.emit(
+                    "worker-lost", worker=worker.name, reason=reason, leases=len(revoked)
+                )
+            for lease in revoked:
+                self.manager.emit(
+                    lease.job_id,
+                    "cell-reassigned",
+                    cell=lease.cell_index,
+                    worker=worker.name,
+                    checkpoint_round=lease.checkpoint_round,
+                )
+                self.manager.requeue_cell(lease.job_id, lease.cell_index)
 
     # -- introspection -----------------------------------------------------
 
     def drained(self) -> bool:
         """No queued cells *and* no outstanding leases: idle workers may exit."""
         with self._lock:
-            leased = bool(self._leases)
-        return not leased and self.manager.drained()
+            return not self._leases and self.manager.drained()
 
     def status(self) -> dict:
         """JSON-able snapshot of workers and leases (the CLI/API view)."""

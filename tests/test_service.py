@@ -494,6 +494,34 @@ class TestFailover:
             coordinator.stop()
             manager.close()
 
+    def test_revoked_cell_is_requeued_before_fleet_looks_drained(
+        self, service, monkeypatch
+    ):
+        """An idle worker asking between a lease's revocation and its
+        requeue must not be told the fleet is drained (it would exit)."""
+        manager, coordinator, _api = service
+        manager.submit(
+            Experiment(policies=["jsq"], systems=SYSTEM, loads=[0.8], rounds=300)
+        )
+        doomed = connect_channel(coordinator.address)
+        doomed.send(("register", {"name": "doomed", "pid": 4244}))
+        doomed.recv()
+        doomed.send(("request-cell",))
+        assert doomed.recv()[0] == "lease"
+        seen = []
+        requeue = manager.requeue_cell
+
+        def requeue_with_probe(*args, **kwargs):
+            probe = threading.Thread(target=lambda: seen.append(coordinator.drained()))
+            probe.start()
+            probe.join(timeout=0.2)
+            requeue(*args, **kwargs)
+
+        monkeypatch.setattr(manager, "requeue_cell", requeue_with_probe)
+        doomed.close()
+        wait_until(lambda: seen)
+        assert seen == [False]
+
     def test_silent_worker_loses_lease_and_stale_messages_bounce(self, service):
         """A wedged worker (socket open, no heartbeats) is declared
         lost; its checkpoint uploads are dropped (torn lease) and its
