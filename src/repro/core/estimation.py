@@ -16,7 +16,8 @@ for the ablation benchmark:
 * :class:`ConstantEstimator` -- a fixed guess, e.g. the system's expected
   per-round capacity; load-oblivious.
 * :class:`EwmaEstimator`     -- exponentially weighted moving average of
-  scaled own arrivals; smooths Poisson noise at the cost of staleness.
+  scaled own arrivals, one per dispatcher; smooths Poisson noise at the
+  cost of staleness.
 
 Estimates are clamped to ``>= 1`` so that the probability computation is
 always well-defined (``a_est = 1`` degenerates to the SED-like Eq. 9 rule,
@@ -26,6 +27,8 @@ always well-defined (``a_est = 1`` degenerates to the SED-like Eq. 9 rule,
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+
+import numpy as np
 
 __all__ = [
     "ArrivalEstimator",
@@ -41,7 +44,9 @@ class ArrivalEstimator(ABC):
     """Estimates the round's total arrivals from a dispatcher's own batch."""
 
     @abstractmethod
-    def estimate(self, own_arrivals: int, num_dispatchers: int) -> float:
+    def estimate(
+        self, own_arrivals: int, num_dispatchers: int, dispatcher: int = 0
+    ) -> float:
         """Return ``a_est >= 1`` given this dispatcher's batch size.
 
         Parameters
@@ -52,7 +57,25 @@ class ArrivalEstimator(ABC):
             not dispatch).
         num_dispatchers:
             ``m``, the number of dispatchers in the system.
+        dispatcher:
+            ``d``, whose estimate this is.  Only estimators that keep
+            per-dispatcher history read it: dispatchers decide
+            independently, so ``d``'s estimate may depend on ``d``'s own
+            batches but never on another dispatcher's.
         """
+
+    def estimate_many(self, batch: np.ndarray, num_dispatchers: int) -> np.ndarray:
+        """Every dispatcher's estimate for one round, in dispatcher order.
+
+        Calls :meth:`estimate` for each non-empty batch in dispatcher
+        order -- the call sequence of the per-dispatcher path -- so
+        stateful estimators evolve identically on both.  Empty batches
+        dispatch nothing; their entry is ``1.0``.
+        """
+        out = np.ones(len(batch), dtype=np.float64)
+        for d in np.flatnonzero(batch):
+            out[d] = self.estimate(int(batch[d]), num_dispatchers, int(d))
+        return out
 
     def observe_total(self, total_arrivals: int) -> None:
         """Feed the true round total (used only by the oracle).
@@ -68,8 +91,13 @@ class ArrivalEstimator(ABC):
 class ScaledOwnArrivals(ArrivalEstimator):
     """The paper's estimator, Eq. (18): ``a_est = m * a_d``."""
 
-    def estimate(self, own_arrivals: int, num_dispatchers: int) -> float:
+    def estimate(
+        self, own_arrivals: int, num_dispatchers: int, dispatcher: int = 0
+    ) -> float:
         return float(max(1, num_dispatchers * own_arrivals))
+
+    def estimate_many(self, batch: np.ndarray, num_dispatchers: int) -> np.ndarray:
+        return np.maximum(1, num_dispatchers * batch).astype(np.float64)
 
 
 class OracleTotal(ArrivalEstimator):
@@ -81,7 +109,9 @@ class OracleTotal(ArrivalEstimator):
     def observe_total(self, total_arrivals: int) -> None:
         self._total = max(1, int(total_arrivals))
 
-    def estimate(self, own_arrivals: int, num_dispatchers: int) -> float:
+    def estimate(
+        self, own_arrivals: int, num_dispatchers: int, dispatcher: int = 0
+    ) -> float:
         return float(self._total)
 
     def reset(self) -> None:
@@ -96,32 +126,41 @@ class ConstantEstimator(ArrivalEstimator):
             raise ValueError(f"constant estimate must be >= 1, got {value}")
         self.value = float(value)
 
-    def estimate(self, own_arrivals: int, num_dispatchers: int) -> float:
+    def estimate(
+        self, own_arrivals: int, num_dispatchers: int, dispatcher: int = 0
+    ) -> float:
         return self.value
 
 
 class EwmaEstimator(ArrivalEstimator):
-    """EWMA of scaled own arrivals: ``e <- (1-alpha)*e + alpha*m*a_d``.
+    """EWMA of scaled own arrivals: ``e_d <- (1-alpha)*e_d + alpha*m*a_d``.
 
-    ``alpha = 1`` reduces to :class:`ScaledOwnArrivals`.
+    Each dispatcher ``d`` smooths only its own batches (one value per
+    dispatcher), updated whenever ``d`` dispatches.  ``alpha = 1``
+    reduces to :class:`ScaledOwnArrivals`.
     """
 
     def __init__(self, alpha: float = 0.25) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = float(alpha)
-        self._value: float | None = None
+        self._values: dict[int, float] = {}
 
-    def estimate(self, own_arrivals: int, num_dispatchers: int) -> float:
+    def estimate(
+        self, own_arrivals: int, num_dispatchers: int, dispatcher: int = 0
+    ) -> float:
         sample = float(num_dispatchers * own_arrivals)
-        if self._value is None:
-            self._value = sample
-        else:
-            self._value = (1.0 - self.alpha) * self._value + self.alpha * sample
-        return max(1.0, self._value)
+        previous = self._values.get(dispatcher)
+        value = (
+            sample
+            if previous is None
+            else (1.0 - self.alpha) * previous + self.alpha * sample
+        )
+        self._values[dispatcher] = value
+        return max(1.0, value)
 
     def reset(self) -> None:
-        self._value = None
+        self._values = {}
 
 
 def make_estimator(spec: str | float | ArrivalEstimator, **kwargs) -> ArrivalEstimator:

@@ -19,6 +19,8 @@ Two implementations are provided:
   Algorithm 3 (iterative water filling, ``O(n)`` given the sort order).
 * :func:`compute_iwl` -- a vectorized prefix-sum formulation used by the
   simulator (identical output; property-tested against the reference).
+  It validates its inputs and calls :func:`trusted_iwl`, the unchecked
+  kernel that also solves a whole vector of arrival counts in one pass.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 __all__ = [
     "compute_iwl",
     "compute_iwl_reference",
+    "trusted_iwl",
     "compute_iba",
     "load_vector",
 ]
@@ -149,24 +152,38 @@ def compute_iwl(
     loads = queues / rates
     if order is None:
         order = np.argsort(loads, kind="stable")
-    loads_sorted = loads[order]
-    mu_sorted = rates[order]
-    q_sorted = queues[order]
-
     if arrivals == 0.0:
-        return float(loads_sorted[0])
+        return float(loads[order[0]])
+    return float(trusted_iwl(loads, queues, rates, order, arrivals))
 
+
+def trusted_iwl(
+    loads: np.ndarray,
+    queues: np.ndarray,
+    rates: np.ndarray,
+    order: np.ndarray,
+    arrivals: float | np.ndarray,
+) -> float | np.ndarray:
+    """The IWL water fill without validation, for one or many arrivals.
+
+    The kernel behind :func:`compute_iwl`.  The caller vouches for its
+    inputs: float ``queues >= 0`` and ``rates > 0`` of equal 1-D shape,
+    ``loads == queues / rates``, ``order`` its stable argsort, and
+    ``arrivals > 0`` -- a float (one level) or a 1-D array (one level per
+    entry, all from the same two prefix sums in one pass).
+    """
+    loads_sorted = loads[order]
     # With the k+1 least-loaded servers active (k = 0..n-1), the work needed
     # to raise them all to the load of server k+1 (the next level) is
     #   need_k = M_{k+1} * loads_sorted[k+1] - Q_{k+1}
     # where M, Q are prefix sums of mu and q.  need is non-decreasing, so
     # the number of levels fully absorbed is found with searchsorted.
-    mu_cum = np.cumsum(mu_sorted)
-    q_cum = np.cumsum(q_sorted)
+    mu_cum = np.cumsum(rates[order])
+    q_cum = np.cumsum(queues[order])
     need = mu_cum[:-1] * loads_sorted[1:] - q_cum[:-1]
-    k = int(np.searchsorted(need, arrivals, side="left"))
+    k = np.searchsorted(need, arrivals, side="left")
     # k servers-boundaries fully crossed => k + 1 active servers.
-    return float((arrivals + q_cum[k]) / mu_cum[k])
+    return (arrivals + q_cum[k]) / mu_cum[k]
 
 
 def compute_iba(

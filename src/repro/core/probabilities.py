@@ -22,6 +22,8 @@ sorted by ``(2q_s + 1) / mu_s``.  Three implementations are provided:
   Lemma 2 decomposition ``f(P) = v1*Lambda0^2 - v2``.
 * :func:`scd_probabilities`           -- a vectorized formulation of
   Algorithm 4 (cumulative sums + masked argmin); the simulator's hot path.
+  It validates its inputs and calls :func:`trusted_probabilities`, the
+  unchecked kernel that also solves many arrival counts in one pass.
 
 All three return identical vectors (property-tested), and agree with the
 exact brute-force / SLSQP reference solvers in
@@ -41,6 +43,7 @@ __all__ = [
     "scd_probabilities_loop",
     "scd_probabilities_quadratic",
     "single_job_probabilities",
+    "trusted_probabilities",
     "scd_objective",
     "kkt_residuals",
     "priority_key",
@@ -246,28 +249,58 @@ def scd_probabilities(
     key = priority_key(queues, rates)
     if order is None:
         order = np.argsort(key, kind="stable")
-    a = float(arrivals)
+    return trusted_probabilities(queues, rates, key, order, float(arrivals), iwl)
 
+
+def trusted_probabilities(
+    queues: np.ndarray,
+    rates: np.ndarray,
+    key: np.ndarray,
+    order: np.ndarray,
+    arrivals: float | np.ndarray,
+    iwl: float | np.ndarray,
+) -> np.ndarray:
+    """Vectorized Algorithm 4 without validation, over the last axis.
+
+    The kernel behind :func:`scd_probabilities`.  The caller vouches for
+    its inputs: float ``queues >= 0`` and ``rates > 0`` of equal 1-D
+    shape, ``key == priority_key(queues, rates)``, ``order`` its stable
+    argsort.  ``arrivals`` and ``iwl`` are either floats (returns the
+    length-``n`` vector) or ``(u, 1)`` columns (returns ``(u, n)``, row
+    ``i`` solving ``arrivals[i]`` with ``iwl[i]``); every arrival count
+    must exceed 1 (``a == 1`` is Eq. 9, :func:`single_job_probabilities`).
+    The rows are unnormalized, exactly as the 1-D solve returns them.
+    """
     mu_o = rates[order]
     q_o = queues[order]
     key_o = key[order]
 
     gain = mu_o * iwl - q_o  # mu_s*iwl - q_s per server, in key order
-    lam0_num = 2.0 * np.cumsum(gain) - np.arange(1, key_o.size + 1) - 2.0 * (a - 1.0)
+    lam0_num = (
+        2.0 * np.cumsum(gain, axis=-1)
+        - np.arange(1, key_o.size + 1)
+        - 2.0 * (arrivals - 1.0)
+    )
     lam0_den = np.cumsum(mu_o)
     lam0 = lam0_num / lam0_den
 
     feasible = 2.0 * iwl - key_o >= lam0 - _FEAS_EPS
 
-    four_a1 = 4.0 * (a - 1.0)
+    four_a1 = 4.0 * (arrivals - 1.0)
     numer = -2.0 * gain + 1.0  # == 2(q_s - mu_s*iwl) + 1
     v1 = lam0_den / four_a1
-    v2 = np.cumsum(numer * numer / mu_o) / four_a1
+    v2 = np.cumsum(numer * numer / mu_o, axis=-1) / four_a1
     val = v1 * lam0 * lam0 - v2
     val = np.where(feasible, val, np.inf)
-    best = int(np.argmin(val))
+    best = np.argmin(val, axis=-1)
+    if lam0.ndim == 1:
+        lam0_best = lam0[best]
+    else:
+        lam0_best = lam0[np.arange(best.size), best][:, None]
 
-    p = (2.0 * (rates * iwl - queues) - 1.0 - rates * lam0[best]) / (2.0 * (a - 1.0))
+    p = (2.0 * (rates * iwl - queues) - 1.0 - rates * lam0_best) / (
+        2.0 * (arrivals - 1.0)
+    )
     np.maximum(p, 0.0, out=p)
     return p
 

@@ -9,9 +9,17 @@ Per round, a dispatcher that received ``a_d`` jobs:
 
 Step 4 over a whole batch is a multinomial draw.  Steps 2-3 depend only on
 the shared snapshot and on ``a_est``; the two server orderings (by ``q/mu``
-and by ``(2q+1)/mu``) are computed once per round and shared, and the
-``(iwl, P)`` pair is cached per distinct ``a_est`` within a round
-(dispatchers with equal batch sizes produce identical estimates).
+and by ``(2q+1)/mu``) are computed once per round and shared.
+
+:meth:`SCDPolicy.dispatch` runs the four steps for one dispatcher.  With
+full connectivity and the default ``vectorized`` solver,
+:meth:`SCDPolicy.dispatch_round` runs them for the whole round at once:
+every dispatcher's estimate in dispatcher order, one IWL and Algorithm 4
+solve per *distinct* estimate (the scaled estimator makes ``a_est`` a
+function of the batch size, so a round has few), all in one vectorized
+pass over the round's prefix sums, and one 2-D multinomial draw.  Rows
+with no jobs draw nothing, so the policy's random stream -- and every
+allocation -- is bit-identical to looping :meth:`~SCDPolicy.dispatch`.
 
 The module also exposes :func:`scd_decision`, the *from-scratch* single
 dispatcher computation (sorts included) used by the run-time figures, and
@@ -27,11 +35,13 @@ import numpy as np
 from repro.policies.base import Policy, register_policy
 
 from .estimation import ArrivalEstimator, make_estimator
-from .iwl import compute_iwl
+from .iwl import compute_iwl, trusted_iwl
 from .probabilities import (
     scd_probabilities,
     scd_probabilities_loop,
     scd_probabilities_quadratic,
+    single_job_probabilities,
+    trusted_probabilities,
 )
 
 __all__ = ["SCDPolicy", "scd_decision", "PROBABILITY_ALGORITHMS"]
@@ -95,7 +105,7 @@ class SCDPolicy(Policy):
         when dispatcher ``d`` can reach server ``s``.  ``None`` (default)
         means full connectivity.  With a mask, each dispatcher solves the
         optimization restricted to its reachable servers (the Section 7
-        extension); per-round caching is disabled since views differ.
+        extension); it keeps the per-dispatcher path since views differ.
     """
 
     name = "scd"
@@ -134,35 +144,57 @@ class SCDPolicy(Policy):
                 raise ValueError("every dispatcher must reach at least one server")
         self.estimator.reset()
         self._queues: np.ndarray | None = None
-        self._load_order: np.ndarray | None = None
-        self._key_order: np.ndarray | None = None
-        self._round_cache: dict[float, np.ndarray] = {}
 
     def begin_round(self, round_index: int, queues: np.ndarray) -> None:
         self._queues = queues
-        self._round_cache.clear()
         if self.connectivity is None:
-            # Algorithm 2 lines 2-4: the two sorted orders for the round.
+            # Algorithm 2 lines 2-4: the two sort keys and their orders.
             rates = self.rates
-            self._load_order = np.argsort(queues / rates, kind="stable")
-            self._key_order = np.argsort((2.0 * queues + 1.0) / rates, kind="stable")
+            self._loads = queues / rates
+            self._key = (2.0 * queues + 1.0) / rates
+            self._load_order = np.argsort(self._loads, kind="stable")
+            self._key_order = np.argsort(self._key, kind="stable")
 
     def observe_total_arrivals(self, total: int) -> None:
         self.estimator.observe_total(total)
 
     def _probabilities(self, a_est: float) -> np.ndarray:
-        probs = self._round_cache.get(a_est)
-        if probs is None:
-            queues = self._queues
-            rates = self.rates
-            iwl = compute_iwl(queues, rates, a_est, order=self._load_order)
-            if self.algorithm == "quadratic":
-                probs = self._solver(queues, rates, a_est, iwl)
-            else:
-                probs = self._solver(queues, rates, a_est, iwl, order=self._key_order)
-            probs = probs / probs.sum()
-            self._round_cache[a_est] = probs
-        return probs
+        queues = self._queues
+        rates = self.rates
+        iwl = compute_iwl(queues, rates, a_est, order=self._load_order)
+        if self.algorithm == "quadratic":
+            probs = self._solver(queues, rates, a_est, iwl)
+        else:
+            probs = self._solver(queues, rates, a_est, iwl, order=self._key_order)
+        return probs / probs.sum()
+
+    def _probabilities_many(self, a_est: np.ndarray) -> np.ndarray:
+        """Normalized rows for sorted distinct estimates, in one pass.
+
+        Row ``i`` is bit-identical to ``_probabilities(a_est[i])``; the
+        round's inputs are checked here once instead of once per solve.
+        """
+        queues = self._queues.astype(np.float64)
+        rates = self.rates
+        if queues.min() < 0:
+            raise ValueError("queue lengths must be non-negative")
+        if a_est[0] < 1:
+            raise ValueError(f"arrival estimates must be >= 1, got {a_est[0]}")
+        iwl = trusted_iwl(self._loads, queues, rates, self._load_order, a_est)
+        probs = np.empty((a_est.size, rates.size), dtype=np.float64)
+        single = int(a_est[0] == 1)  # Eq. (9) row; sorted, so only row 0
+        if single:
+            probs[0] = single_job_probabilities(queues, rates)
+        if a_est.size > single:
+            probs[single:] = trusted_probabilities(
+                queues,
+                rates,
+                self._key,
+                self._key_order,
+                a_est[single:, None],
+                iwl[single:, None],
+            )
+        return probs / probs.sum(axis=1, keepdims=True)
 
     def _masked_probabilities(self, dispatcher: int, a_est: float) -> np.ndarray:
         mask = self.connectivity[dispatcher]
@@ -175,12 +207,29 @@ class SCDPolicy(Policy):
         return probs
 
     def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
-        a_est = self.estimator.estimate(int(num_jobs), self.ctx.num_dispatchers)
+        a_est = self.estimator.estimate(
+            int(num_jobs), self.ctx.num_dispatchers, dispatcher
+        )
         if self.connectivity is None:
             probs = self._probabilities(a_est)
         else:
             probs = self._masked_probabilities(dispatcher, a_est)
         return self.rng.multinomial(int(num_jobs), probs).astype(np.int64)
+
+    def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
+        """Algorithm 2 for every dispatcher at once, bit-equal to the loop.
+
+        Estimates in dispatcher order, one solve per distinct estimate,
+        then one 2-D multinomial over every row: empty rows draw nothing,
+        so the stream matches the per-dispatcher calls.  The masked
+        variant and the ``loop`` / ``quadratic`` solvers keep that loop.
+        """
+        if self.connectivity is not None or self.algorithm != "vectorized":
+            return super().dispatch_round(batch, queues)
+        estimates = self.estimator.estimate_many(batch, self.ctx.num_dispatchers)
+        distinct, inverse = np.unique(estimates, return_inverse=True)
+        probs = self._probabilities_many(distinct)
+        return self.rng.multinomial(batch, probs[inverse]).astype(np.int64, copy=False)
 
 
 @register_policy("scd-alg1")

@@ -71,7 +71,9 @@ class SizedSCDPolicy(Policy):
         self.estimator.observe_total(total)
 
     def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
-        a_est = self.estimator.estimate(int(num_jobs), self.ctx.num_dispatchers)
+        a_est = self.estimator.estimate(
+            int(num_jobs), self.ctx.num_dispatchers, dispatcher
+        )
         probs = self._round_cache.get(a_est)
         if probs is None:
             _, probs = sized_scd_probabilities(

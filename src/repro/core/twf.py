@@ -86,7 +86,9 @@ class TWFPolicy(Policy):
         self.estimator.observe_total(total)
 
     def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
-        a_est = self.estimator.estimate(int(num_jobs), self.ctx.num_dispatchers)
+        a_est = self.estimator.estimate(
+            int(num_jobs), self.ctx.num_dispatchers, dispatcher
+        )
         probs = self._round_cache.get(a_est)
         if probs is None:
             level = compute_iwl(self._queues, self._ones, a_est, order=self._order)

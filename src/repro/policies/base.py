@@ -159,8 +159,11 @@ class Policy(ABC):
         snapshot (and not on per-dispatcher sequential state fed by
         earlier rounds' RNG draws) override this with a native
         vectorized path; deterministic overrides must reproduce the
-        fallback exactly, stochastic overrides may restructure their RNG
-        consumption (statistically equivalent, not bit-equal).
+        fallback exactly.  A stochastic override stays bit-equal too when
+        it draws the same stream: SCD's single 2-D ``multinomial`` over
+        every dispatcher's row consumes exactly what the per-dispatcher
+        calls would (empty rows draw nothing).  Others may restructure
+        their RNG consumption (statistically equivalent, not bit-equal).
         """
         assert self.ctx is not None, "policy used before bind()"
         rows = np.zeros((self.ctx.num_dispatchers, self.ctx.num_servers), dtype=np.int64)
@@ -266,9 +269,10 @@ def has_native_dispatch_round(policy: Policy) -> bool:
     """True when ``policy`` overrides the batch protocol with a native path.
 
     Policies using the base-class fallback are bit-identical between the
-    reference and fast engine backends; native stochastic overrides are
-    only statistically equivalent (they reshape RNG consumption), which
-    tests and benchmarks need to know.
+    reference and fast engine backends.  So are deterministic overrides
+    and stochastic ones that draw the same stream (SCD, LSQ, JIQ...);
+    the rest are only statistically equivalent (they reshape RNG
+    consumption), which tests and benchmarks need to know.
     """
     return type(policy).dispatch_round is not Policy.dispatch_round
 

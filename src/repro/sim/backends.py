@@ -25,9 +25,11 @@ is unit-size):
     at a time by an array-backed store
     (:class:`~repro.sim.batchstore.BatchQueueStore` for unit-size jobs,
     :class:`~repro.sim.batchstore.SizedBatchQueueStore` otherwise).
-    Bit-identical to ``reference`` for deterministic policies and for
-    any policy using the base-class ``dispatch_round`` fallback;
-    statistically equivalent for policies with native batched sampling.
+    Bit-identical to ``reference`` for deterministic policies, for any
+    policy using the base-class ``dispatch_round`` fallback, and for
+    native paths that draw the same random stream (``scd``, ``lsq``,
+    ``jiq``...); statistically equivalent for the other policies with
+    native batched sampling.
 
 ``compiled``
     The fast kernel with numba-jitted stores and, for ``rr``/``wrr`` on

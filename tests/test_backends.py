@@ -34,18 +34,19 @@ from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.metrics import ResponseTimeHistogram
 from repro.sim.server import ServerQueue
 from repro.sim.service import GeometricService
+from repro.workloads import SystemSpec
 
 #: Policies whose decisions involve no randomness: identical runs on both
 #: backends are required bit-for-bit.
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
 #: Stateful / stochastic policies without a native batch path: they run
 #: through the fallback, so they must also be bit-identical.
-FALLBACK_POLICIES = ["scd", "twf"]
+FALLBACK_POLICIES = ["twf"]
 #: Native batch paths that restructure no RNG consumption (LSQ/LED's
-#: vectorized sampled refreshes and JIQ's fused empty-idle fallback draw
-#: the identical stream): these must also stay bit-identical across
-#: backends.
-NATIVE_BIT_IDENTICAL_POLICIES = ["lsq", "hlsq", "led", "jiq"]
+#: vectorized sampled refreshes, JIQ's fused empty-idle fallback and
+#: SCD's one 2-D multinomial per round draw the identical stream): these
+#: must also stay bit-identical across backends.
+NATIVE_BIT_IDENTICAL_POLICIES = ["scd", "lsq", "hlsq", "led", "jiq"]
 #: Stochastic policies with native batch paths: exact accounting plus
 #: statistical equivalence only.
 NATIVE_STOCHASTIC_POLICIES = ["wr", "random", "jsq(2)", "hjsq(2)"]
@@ -62,6 +63,23 @@ def run_once(policy, backend, seed=0, n=8, m=3, rho=0.85, rounds=400, warmup=0):
         service=GeometricService(rates),
         config=SimulationConfig(
             rounds=rounds, seed=seed, warmup=warmup, backend=backend
+        ),
+    ).run()
+
+
+def run_wide_scd(backend, scenario=None):
+    """SCD on a 100x50 ``u1_10`` fleet: about ten distinct estimates per
+    round and, at this load, some fifty empty batches over the run --
+    unlike the small golden-digest systems."""
+    system = SystemSpec(num_servers=100, num_dispatchers=50, profile="u1_10")
+    rates = system.rates()
+    return Simulation(
+        rates=rates,
+        policy=make_policy("scd"),
+        arrivals=PoissonArrivals(system.lambdas(0.5)),
+        service=GeometricService(rates),
+        config=SimulationConfig(
+            rounds=300, seed=4, backend=backend, scenario=scenario
         ),
     ).run()
 
@@ -200,10 +218,22 @@ class TestBitExactness:
     @pytest.mark.parametrize("policy", NATIVE_BIT_IDENTICAL_POLICIES)
     def test_native_bit_identical_policies(self, policy):
         """LSQ's native path (vectorized sampled refreshes: one RNG draw
-        per round across dispatchers) must not perturb the stream."""
+        per round across dispatchers) and SCD's (one 2-D multinomial per
+        round) must not perturb the stream."""
         assert has_native_dispatch_round(make_policy(policy))
         a = run_once(policy, "reference", seed=11)
         b = run_once(policy, "fast", seed=11)
+        assert_identical(a, b)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        # Period-2 churn with offset 1 masks a quarter of the fleet in
+        # block 0 and restores it in block 1, both inside 300 rounds.
+        [None, "churn:down=0.25,period=2,offset=1"],
+    )
+    def test_scd_wide_fleet_identical(self, scenario):
+        a = run_wide_scd("reference", scenario)
+        b = run_wide_scd("fast", scenario)
         assert_identical(a, b)
 
     def test_warmup_boundary_identical(self):

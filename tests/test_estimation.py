@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.estimation import (
+    ArrivalEstimator,
     ConstantEstimator,
     EwmaEstimator,
     OracleTotal,
@@ -87,6 +88,55 @@ class TestEwma:
         est.estimate(100, 2)
         est.reset()
         assert est.estimate(10, 2) == 20.0
+
+    def test_estimate_ignores_other_dispatchers_batches(self):
+        """Dispatchers decide independently: d's smoothed value follows
+        d's own batches only, whatever the others received."""
+        own = np.random.default_rng(0).integers(0, 10, size=30)
+        runs = []
+        for seed in (1, 2):
+            est = EwmaEstimator(alpha=0.3)
+            others = np.random.default_rng(seed).integers(0, 50, size=(30, 3))
+            runs.append(
+                [
+                    est.estimate_many(np.concatenate(([a], row)), 4)[0]
+                    for a, row in zip(own, others)
+                ]
+            )
+        alone = EwmaEstimator(alpha=0.3)
+        expected = [alone.estimate(int(a), 4) if a else 1.0 for a in own]
+        assert runs[0] == runs[1] == expected
+
+
+class TestEstimateMany:
+    @pytest.mark.parametrize(
+        "make", [ScaledOwnArrivals, OracleTotal, lambda: ConstantEstimator(9.0)]
+    )
+    def test_matches_per_dispatcher_estimates(self, make):
+        batch = np.array([3, 0, 1, 7, 0])
+        looped, many = make(), make()
+        for est in (looped, many):
+            est.observe_total(int(batch.sum()))
+        expected = [
+            looped.estimate(int(k), batch.size, d) if k else 1.0
+            for d, k in enumerate(batch)
+        ]
+        out = many.estimate_many(batch, batch.size)
+        assert out.dtype == np.float64
+        assert out.tolist() == expected
+
+    def test_skips_empty_batches(self):
+        calls = []
+
+        class Recording(ScaledOwnArrivals):
+            def estimate(self, own_arrivals, num_dispatchers, dispatcher=0):
+                calls.append((dispatcher, own_arrivals))
+                return super().estimate(own_arrivals, num_dispatchers, dispatcher)
+
+        Recording().estimate_many(np.array([2, 0, 5]), 3)  # vectorized override
+        assert calls == []
+        ArrivalEstimator.estimate_many(Recording(), np.array([2, 0, 5]), 3)
+        assert calls == [(0, 2), (2, 5)]
 
 
 class TestFactory:

@@ -13,7 +13,8 @@ reads the registry):
 * repeated rounds never raise, whatever the queue state;
 * the batch protocol ``dispatch_round`` returns an (m, n) matrix whose
   rows sum to the dispatcher batches, and the native overrides of
-  deterministic policies reproduce the per-dispatcher loop exactly.
+  deterministic policies -- and SCD's, which draws the same random
+  stream -- reproduce the per-dispatcher loop exactly.
 """
 
 import numpy as np
@@ -156,6 +157,72 @@ def test_native_batch_path_matches_fallback(name):
         rows_looped = Policy.dispatch_round(looped, batch, queues)
         np.testing.assert_array_equal(rows_native, rows_looped)
         queues = rng.integers(0, 30, size=5)
+
+
+#: Estimators SCD's native path must reproduce the loop with: the paper's,
+#: the oracle, constants (1.0 makes every row the Eq. 9 ``a_est == 1``
+#: case) and the stateful per-dispatcher EWMA.
+SCD_ESTIMATORS = ["scaled", "oracle", 6.0, 1.0, "ewma"]
+
+
+def bind_scd(rates, m, seed=0, **kwargs):
+    policy = make_policy("scd", **kwargs)
+    policy.bind(
+        SystemContext(rates=rates, num_dispatchers=m, rng=np.random.default_rng(seed))
+    )
+    return policy
+
+
+@pytest.mark.parametrize("m", [1, 6])
+@pytest.mark.parametrize("estimator", SCD_ESTIMATORS)
+def test_scd_native_batch_path_matches_fallback(estimator, m):
+    """Same seed, same rounds: SCD's batched dispatch_round equals the
+    per-dispatcher loop bit for bit and leaves the stream aligned.
+
+    Duplicate rates and small queues give tied sort keys; the batches
+    mix empty rows, single jobs (``m = 1`` makes ``a_est == 1`` under
+    the scaled estimator) and larger batches."""
+    rates = np.array([1.0, 4.0, 2.0, 4.0, 8.0, 1.0, 3.0])
+    native = bind_scd(rates, m, seed=3, estimator=estimator)
+    looped = bind_scd(rates, m, seed=3, estimator=estimator)
+    assert has_native_dispatch_round(native)
+    rng = np.random.default_rng(11)
+    queues = np.zeros(rates.size, dtype=np.int64)
+    for t in range(10):
+        batch = rng.integers(0, 5, size=m) * (rng.random(m) < 0.6)
+        for policy in (native, looped):
+            policy.begin_round(t, queues)
+            policy.observe_total_arrivals(int(batch.sum()))
+        rows_native = native.dispatch_round(batch, queues)
+        rows_looped = Policy.dispatch_round(looped, batch, queues)
+        assert rows_native.dtype == rows_looped.dtype
+        np.testing.assert_array_equal(rows_native, rows_looped)
+        queues = rng.integers(0, 4, size=rates.size)
+    assert native.rng.bit_generator.state == looped.rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "kwargs, native",
+    [
+        ({}, True),
+        ({"algorithm": "loop"}, False),
+        ({"algorithm": "quadratic"}, False),
+        ({"connectivity": np.array([[1, 1, 0, 1], [0, 1, 1, 1]], dtype=bool)}, False),
+    ],
+    ids=["vectorized", "loop", "quadratic", "masked"],
+)
+def test_scd_variants_choose_native_or_per_dispatcher_path(kwargs, native):
+    """Only full connectivity with the vectorized solver runs the batched
+    path; the other variants loop ``dispatch`` over non-empty batches."""
+    policy = bind_scd(np.array([1.0, 2.0, 4.0, 3.0]), 2, **kwargs)
+    calls = []
+    per_dispatcher = policy.dispatch
+    policy.dispatch = lambda d, k: calls.append(d) or per_dispatcher(d, k)
+    queues = np.array([3, 0, 1, 2], dtype=np.int64)
+    policy.begin_round(0, queues)
+    rows = policy.dispatch_round(np.array([0, 5]), queues)
+    np.testing.assert_array_equal(rows.sum(axis=1), [0, 5])
+    assert calls == ([] if native else [1])
 
 
 class TestRegistryHygiene:

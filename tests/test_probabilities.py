@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import dispatch_instances
-from repro.core.iwl import compute_iwl
+from _helpers import dispatch_instances, server_instances
+from repro.core.iwl import compute_iwl, trusted_iwl
 from repro.core.probabilities import (
     kkt_residuals,
     priority_key,
@@ -14,6 +15,7 @@ from repro.core.probabilities import (
     scd_probabilities_loop,
     scd_probabilities_quadratic,
     single_job_probabilities,
+    trusted_probabilities,
 )
 
 ALL_SOLVERS = [
@@ -169,6 +171,43 @@ class TestAgreementAndOptimality:
             scd_probabilities(queues, rates, arrivals, iwl),
             atol=1e-12,
         )
+
+
+class TestBatchedKernel:
+    """Solving many arrival counts in one pass (SCD's batched dispatch)
+    reproduces the validated 1-D API row for row, bit for bit."""
+
+    @given(
+        server_instances(),
+        st.lists(
+            st.one_of(
+                st.integers(min_value=2, max_value=400).map(float),
+                st.floats(min_value=1.001, max_value=400.0),
+            ),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_public_solves(self, instance, arrivals):
+        queues, rates = instance
+        queues = queues.astype(np.float64)
+        arrivals = np.array(sorted(arrivals))
+        loads = queues / rates
+        key = priority_key(queues, rates)
+        load_order = np.argsort(loads, kind="stable")
+        key_order = np.argsort(key, kind="stable")
+        iwl = trusted_iwl(loads, queues, rates, load_order, arrivals)
+        probs = trusted_probabilities(
+            queues, rates, key, key_order, arrivals[:, None], iwl[:, None]
+        )
+        assert probs.shape == (arrivals.size, queues.size)
+        for i, a in enumerate(arrivals):
+            level = compute_iwl(queues, rates, a)
+            assert np.float64(level).tobytes() == iwl[i].tobytes()
+            expected = scd_probabilities(queues, rates, a, level)
+            assert expected.tobytes() == probs[i].tobytes()
 
 
 class TestHomogeneousCase:

@@ -73,19 +73,25 @@ class TestSCDPolicy:
         np.testing.assert_allclose(freq, expected, atol=0.01)
 
     def test_round_cache_consistency(self):
-        """Two dispatchers with equal batches get the same distribution."""
+        """Two dispatchers with equal batches get the same distribution,
+        from the per-dispatcher solve and from the round's batched one."""
         policy = bind(SCDPolicy(), rates=[1.0, 5.0], m=2, seed=1)
         policy.begin_round(0, np.array([3, 3]))
         p_first = policy._probabilities(8.0)
         p_again = policy._probabilities(8.0)
-        assert p_first is p_again  # cached object, not recomputed
+        assert p_first.tobytes() == p_again.tobytes()
+        batched = policy._probabilities_many(np.array([8.0]))
+        assert batched[0].tobytes() == p_first.tobytes()
 
     def test_cache_cleared_between_rounds(self):
+        """Each round solves against its own snapshot, never the last."""
         policy = bind(SCDPolicy(), rates=[1.0, 5.0], m=2, seed=1)
         policy.begin_round(0, np.array([3, 3]))
-        policy._probabilities(8.0)
+        before = policy._probabilities_many(np.array([8.0]))
         policy.begin_round(1, np.array([0, 9]))
-        assert 8.0 not in policy._round_cache
+        after = policy._probabilities_many(np.array([8.0]))
+        assert not np.array_equal(before, after)
+        assert after[0].tobytes() == policy._probabilities(8.0).tobytes()
 
     def test_oracle_estimator_uses_true_total(self):
         oracle = OracleTotal()

@@ -52,12 +52,12 @@ from repro.sim.backends import (
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
 #: Stateful / stochastic policies without a native batch path: they run
 #: through the fallback, so they must also be bit-identical.
-FALLBACK_POLICIES = ["scd", "twf", "scd-sized"]
+FALLBACK_POLICIES = ["twf", "scd-sized"]
 #: Native batch paths that restructure no RNG consumption (LSQ/LED's
-#: vectorized sampled refreshes and JIQ's fused empty-idle fallback draw
-#: the identical stream): these must also stay bit-identical across
-#: backends.
-NATIVE_BIT_IDENTICAL_POLICIES = ["lsq", "hlsq", "led", "jiq"]
+#: vectorized sampled refreshes, JIQ's fused empty-idle fallback and
+#: SCD's one 2-D multinomial per round draw the identical stream): these
+#: must also stay bit-identical across backends.
+NATIVE_BIT_IDENTICAL_POLICIES = ["scd", "lsq", "hlsq", "led", "jiq"]
 #: Stochastic policies with native batch paths: exact accounting plus an
 #: identical workload realization only.
 NATIVE_STOCHASTIC_POLICIES = ["wr", "random", "jsq(2)", "hjsq(2)"]
@@ -167,8 +167,9 @@ class TestBitExactness:
 
     @pytest.mark.parametrize("policy", NATIVE_BIT_IDENTICAL_POLICIES)
     def test_native_bit_identical_policies(self, policy):
-        """LSQ's native path draws the identical refresh stream, so it
-        stays bit-identical on the sized engine too."""
+        """LSQ's native path draws the identical refresh stream (SCD's its
+        identical multinomial stream), so it stays bit-identical on the
+        sized engine too."""
         assert has_native_dispatch_round(make_policy(policy))
         sizes = GeometricSize(2.5)
         a = run_once(policy, sizes, "reference", seed=11, rounds=300)
@@ -207,7 +208,8 @@ class TestCompiledBitExactness:
 
     @pytest.mark.parametrize("dist", sorted(SIZE_DISTRIBUTIONS))
     @pytest.mark.parametrize(
-        "policy", DETERMINISTIC_POLICIES + FALLBACK_POLICIES
+        "policy",
+        DETERMINISTIC_POLICIES + FALLBACK_POLICIES + NATIVE_BIT_IDENTICAL_POLICIES,
     )
     def test_bit_identical_to_fast(self, policy, dist):
         sizes = SIZE_DISTRIBUTIONS[dist]
