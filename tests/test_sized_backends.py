@@ -157,19 +157,24 @@ class TestBitExactness:
         assert_identical(a, b)
 
     @pytest.mark.parametrize("dist", sorted(SIZE_DISTRIBUTIONS))
-    @pytest.mark.parametrize("policy", FALLBACK_POLICIES)
+    @pytest.mark.parametrize("policy", FALLBACK_POLICIES + ["scd"])
     def test_fallback_policies_identical(self, policy, dist):
-        assert not has_native_dispatch_round(make_policy(policy))
+        """The fallback policies, and SCD whose native path replaced its
+        fallback, stay bit-identical on every size distribution."""
+        native = policy in NATIVE_BIT_IDENTICAL_POLICIES
+        assert has_native_dispatch_round(make_policy(policy)) == native
         sizes = SIZE_DISTRIBUTIONS[dist]
         a = run_once(policy, sizes, "reference", seed=11, rounds=300)
         b = run_once(policy, sizes, "fast", seed=11, rounds=300)
         assert_identical(a, b)
 
-    @pytest.mark.parametrize("policy", NATIVE_BIT_IDENTICAL_POLICIES)
+    @pytest.mark.parametrize(
+        # SCD is pinned on every size distribution by the fallback test.
+        "policy", [p for p in NATIVE_BIT_IDENTICAL_POLICIES if p != "scd"]
+    )
     def test_native_bit_identical_policies(self, policy):
-        """LSQ's native path draws the identical refresh stream (SCD's its
-        identical multinomial stream), so it stays bit-identical on the
-        sized engine too."""
+        """LSQ's native path draws the identical refresh stream, so it
+        stays bit-identical on the sized engine too."""
         assert has_native_dispatch_round(make_policy(policy))
         sizes = GeometricSize(2.5)
         a = run_once(policy, sizes, "reference", seed=11, rounds=300)
