@@ -28,7 +28,7 @@ import heapq
 
 import numpy as np
 
-from repro.core.iwl import compute_iwl
+from repro.core.iwl import _validate, compute_iwl, trusted_iwl
 
 __all__ = [
     "greedy_batch_assign",
@@ -98,10 +98,20 @@ def greedy_batch_assign(
     if num_jobs <= 0:
         return np.zeros(n, dtype=np.int64)
     k = int(num_jobs)
+    return _assign_from_level(queues, rates, k, compute_iwl(queues, rates, float(k)))
 
-    # Continuous water level: every integer marginal strictly below L* is
-    # among the k smallest (the selection threshold T* is >= L*).
-    level = compute_iwl(queues, rates, float(k))
+
+def _assign_from_level(
+    queues: np.ndarray, rates: np.ndarray, k: int, level: float
+) -> np.ndarray:
+    """The greedy counts for ``k`` jobs, given their continuous water level.
+
+    ``queues`` and ``rates`` are float arrays; ``level`` is the IWL of
+    ``k`` arrivals on them.
+    """
+    n = queues.size
+    # Every integer marginal strictly below the level L* is among the k
+    # smallest (the selection threshold T* is >= L*).
     base = np.ceil(rates * level - queues - 1e-9).astype(np.int64) - 1
     np.maximum(base, 0, out=base)
     remaining = k - int(base.sum())
@@ -133,16 +143,24 @@ def greedy_rows_for_batches(
     Every dispatcher decides against the *same* snapshot, so dispatchers
     with equal batch sizes produce identical (deterministic) assignments
     -- the greedy runs once per *distinct* batch size instead of once per
-    dispatcher.  Bit-identical to calling :func:`greedy_batch_assign`
+    dispatcher.  The snapshot is validated and sorted once, and one
+    :func:`~repro.core.iwl.trusted_iwl` pass gives every distinct size's
+    water level.  Bit-identical to calling :func:`greedy_batch_assign`
     per dispatcher; this is the native batch-protocol path of JSQ/SED.
     """
     batch = np.asarray(batch, dtype=np.int64)
-    queues = np.asarray(queues)
+    queues = np.asarray(queues, dtype=np.float64)
+    rates = np.asarray(rates, dtype=np.float64)
     rows = np.zeros((batch.size, queues.size), dtype=np.int64)
-    for k in np.unique(batch):
-        if k == 0:
-            continue
-        rows[batch == k] = greedy_batch_assign(queues, rates, int(k))
+    sizes = np.unique(batch[batch > 0])
+    if sizes.size == 0:
+        return rows
+    _validate(queues, rates, 0.0)
+    loads = queues / rates
+    order = np.argsort(loads, kind="stable")
+    levels = trusted_iwl(loads, queues, rates, order, sizes.astype(np.float64))
+    for k, level in zip(sizes.tolist(), levels.tolist()):
+        rows[batch == k] = _assign_from_level(queues, rates, k, level)
     return rows
 
 

@@ -46,27 +46,25 @@ class RoundRobinPolicy(Policy):
 
         Dispatcher ``d`` with batch ``k`` starting at ``p`` gives every
         server ``k // n`` jobs plus one job to each of the ``k % n``
-        servers ``p, p+1, ... (mod n)``; the remainder arc is written as
-        a per-row difference array and prefix-summed, so the whole round
-        is O(m * n) numpy work with no per-job indexing.
+        servers ``p, p+1, ... (mod n)``.  The remainder arcs are written
+        straight into a zero matrix by their O(jobs) indices (an arc is
+        shorter than ``n``, so no cell is hit twice) and the full cycles
+        are added only when some batch has one; past allocating the
+        result, the round is O(jobs + m) numpy work.
         """
         n = self.ctx.num_servers
         m = self.ctx.num_dispatchers
         batch = np.asarray(batch, dtype=np.int64)
         start = self._position
         remainder = batch % n
-        end = start + remainder
-        diff = np.zeros((m, n + 1), dtype=np.int64)
-        rows_idx = np.arange(m)
-        plain = (remainder > 0) & (end <= n)
-        diff[rows_idx[plain], start[plain]] += 1
-        diff[rows_idx[plain], end[plain]] -= 1
-        wrapped = end > n
-        diff[rows_idx[wrapped], start[wrapped]] += 1
-        diff[rows_idx[wrapped], n] -= 1
-        diff[rows_idx[wrapped], 0] += 1
-        diff[rows_idx[wrapped], end[wrapped] - n] -= 1
-        rows = np.cumsum(diff[:, :n], axis=1) + (batch // n)[:, None]
+        owner = np.repeat(np.arange(m), remainder)
+        arc_base = np.repeat(np.cumsum(remainder) - remainder, remainder)
+        offset = np.arange(owner.size) - arc_base
+        rows = np.zeros((m, n), dtype=np.int64)
+        rows[owner, (start[owner] + offset) % n] = 1
+        cycles = batch // n
+        if cycles.any():
+            rows += cycles[:, None]
         self._position[:] = (start + batch) % n
         return rows
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from ._registry import BackendCapabilities, BackendRegistry
 from .batchstore import make_store
-from .blockdriver import BLOCK_ROUNDS, Block, RunState, drive, resume
+from .blockdriver import BLOCK_ROUNDS, Block, RunState, drive, negative_cell, resume
 from .lifecycle import RunController
 from .probes import (
     BlockRecorder,
@@ -206,15 +206,18 @@ class ReferenceBackend(EngineBackend):
                     k = int(batch[d])
                     if k == 0:
                         continue
-                    if unit:
-                        received += policy.dispatch(d, k)
-                        continue
                     # Sizes are workload randomness: drawn for the whole
                     # batch *before* placement from the arrival stream, so
                     # the realized sizes (and the stream position) are
                     # identical whatever the policy decides.
-                    job_sizes = sim.sizes.sample(arrival_rng, k)
+                    job_sizes = None if unit else sim.sizes.sample(arrival_rng, k)
                     counts = policy.dispatch(d, k)
+                    problem = negative_cell(counts, n, d)
+                    if problem is not None:
+                        raise ValueError(f"{policy.name}, round {t}: {problem}")
+                    if unit:
+                        received += counts
+                        continue
                     start = 0
                     for s in np.flatnonzero(counts):
                         stop = start + int(counts[s])
@@ -270,7 +273,7 @@ class FastBackend(EngineBackend):
     block at once by the store's ``process_block``, including bulk
     histogram recording.  Unit-size jobs keep the batch-granular store
     and cross-round ``dispatch_rounds`` batching; sized jobs lay each
-    round's sizes out per ``(dispatcher, server)`` cell.
+    round's sizes out over its non-empty ``(dispatcher, server)`` cells.
     """
 
     name = "fast"

@@ -39,10 +39,14 @@ the simulation alone picks the path (``sim.unit_jobs``):
     (integer prefix sums, so the values are the per-round loop's).
 
 * *sized jobs* interleave batches and sizes on the arrival stream, so
-  pre-sampling repeats the reference's per-round call sequence, and
-  each round's ``(dispatcher, server)`` cell counts lay its flat size
-  vector out by a prefix sum.  The block carries its jobs sorted
-  server-major for a :class:`~repro.sim.batchstore.SizedBatchQueueStore`.
+  pre-sampling repeats the reference's per-round call sequence.  Each
+  round's flat size vector is laid out over the *non-empty*
+  ``(dispatcher, server)`` cells of its dispatch matrix only (see
+  :func:`sized_layout`): one mask finds them, and a prefix sum over the
+  sizes gathered at their job boundaries gives every cell's work, so
+  the rest of the round costs O(jobs + m), not O(m * n).  The block
+  carries its jobs sorted server-major for a
+  :class:`~repro.sim.batchstore.SizedBatchQueueStore`.
 
 Bit-identity is the invariant throughout: for a given policy and seed,
 every path produces the same admission matrix, completion matrix, queue
@@ -72,6 +76,8 @@ __all__ = [
     "RoundKernel",
     "resume",
     "drive",
+    "negative_cell",
+    "sized_layout",
 ]
 
 #: Rounds pre-sampled per block (bounds the memory of the ``(chunk, m)``
@@ -228,22 +234,79 @@ class RoundKernel(Protocol):
     ) -> None: ...
 
 
+def negative_cell(counts: np.ndarray, n: int, dispatcher: int = 0) -> str | None:
+    """Describe the first negative count of a dispatch result, if any.
+
+    ``counts`` is a round's ``(m, n)`` dispatch matrix, or the row of
+    dispatcher ``dispatcher``: flat cell ``c`` is dispatcher
+    ``dispatcher + c // n``'s count for server ``c % n``.
+    """
+    flat = counts.ravel()
+    if flat.min(initial=0) >= 0:
+        return None
+    cell = int((flat < 0).argmax())
+    return _negative_message(dispatcher * n + cell, int(flat[cell]), n)
+
+
+def _negative_message(cell: int, count: int, n: int) -> str:
+    return f"dispatcher {cell // n} assigned {count} jobs to server {cell % n}"
+
+
+def sized_layout(
+    counts: np.ndarray, sizes: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(received, job_servers)`` of one sized round.
+
+    ``counts`` is the round's ``(m, n)`` dispatch matrix raveled in C
+    order -- dispatcher-major, servers ascending within a dispatcher --
+    which is the order the round's flat ``sizes`` vector is handed out
+    in.  Only the non-empty cells are touched: a prefix sum over
+    ``sizes`` gathered at their job boundaries gives each cell's work
+    units, summed per server into ``received``; ``job_servers`` is every
+    job's server in admission order.  Past the one mask over ``counts``
+    this is O(jobs + non-empty cells).
+
+    Raises :class:`ValueError` (naming the dispatcher and server) on a
+    negative count, or when the counts do not place every job once.
+    """
+    cells = np.flatnonzero(counts != 0)
+    cell_counts = counts[cells]
+    if cell_counts.min(initial=0) < 0:
+        bad = int((cell_counts < 0).argmax())
+        raise ValueError(_negative_message(int(cells[bad]), int(cell_counts[bad]), n))
+    total = int(cell_counts.sum())
+    if total != sizes.size:
+        raise ValueError(f"assigned {total} jobs for a round of {sizes.size}")
+    servers = cells % n
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    ends = np.cumsum(cell_counts)
+    received = np.zeros(n, dtype=np.int64)
+    np.add.at(received, servers, bounds[ends] - bounds[ends - cell_counts])
+    return received, np.repeat(servers, cell_counts)
+
+
 def _check_received_block(
-    policy: Policy, received: np.ndarray, batch: np.ndarray, n: int
+    policy: Policy, received: np.ndarray, batch: np.ndarray, n: int, start_round: int
 ) -> None:
-    """Vectorized analogue of the per-round shape / conservation checks."""
+    """Vectorized analogue of the per-round shape / count checks."""
     if received.shape != (batch.shape[0], n):
         raise ValueError(
             f"{policy.name}.dispatch_rounds returned shape {received.shape}, "
             f"expected ({batch.shape[0]}, {n})"
+        )
+    if received.min(initial=0) < 0:
+        i, s = np.argwhere(received < 0)[0]
+        raise ValueError(
+            f"{policy.name}, round {start_round + int(i)}: dispatch_rounds "
+            f"assigned {int(received[i, s])} jobs to server {int(s)}"
         )
     round_totals = batch.sum(axis=1)
     got = received.sum(axis=1)
     if not np.array_equal(got, round_totals):
         bad = int(np.flatnonzero(got != round_totals)[0])
         raise ValueError(
-            f"{policy.name} assigned {int(got[bad])} jobs for a round "
-            f"of {int(round_totals[bad])}"
+            f"{policy.name}, round {start_round + bad}: assigned "
+            f"{int(got[bad])} jobs for a round of {int(round_totals[bad])}"
         )
 
 
@@ -279,10 +342,6 @@ def drive(
     batching = unit and supports_round_batching(policy)
     if not unit:
         round_kernel = None
-        # Flat (dispatcher-major) cell index -> server, matching both the
-        # C-order ravel of a dispatch_round matrix and the order in
-        # which the reference hands a dispatcher's sizes to servers.
-        cell_server = np.tile(np.arange(n), m)
     fields = block_probes.fields
     need_queues = "queues" in fields
     wants_blocks = block_probes.wants_blocks
@@ -327,7 +386,7 @@ def drive(
                 totals += start_total
                 series.record_many(totals)
         elif batching and (batched := policy.dispatch_rounds(batch_block)) is not None:
-            _check_received_block(policy, batched, batch_block, n)
+            _check_received_block(policy, batched, batch_block, n, chunk_start)
             received_block[:] = batched
             # The policy is out of the loop; only the queue / departure
             # recurrence remains, round by round.
@@ -350,6 +409,7 @@ def drive(
                 policy.begin_round(t, queues)
                 if round_total:
                     policy.observe_total_arrivals(round_total)
+                    problem = None
                     if native or not unit:
                         rows = policy.dispatch_round(batch, queues)
                         if rows.shape != (m, n):
@@ -357,31 +417,36 @@ def drive(
                                 f"{policy.name}.dispatch_round returned shape "
                                 f"{rows.shape}, expected ({m}, {n})"
                             )
-                        counts = rows.sum(axis=0) if unit else rows.ravel()
+                        if unit:
+                            problem = negative_cell(rows, n)
+                            received = rows.sum(axis=0)
                     else:
-                        counts = np.zeros(n, dtype=np.int64)
+                        received = np.zeros(n, dtype=np.int64)
                         for d in range(m):
                             k = int(batch[d])
                             if k:
-                                counts += policy.dispatch(d, k)
-                    if int(counts.sum()) != round_total:
-                        raise ValueError(
-                            f"{policy.name} assigned {int(counts.sum())} "
-                            f"jobs for a round of {round_total}"
-                        )
-                    if unit:
-                        received = counts
-                    else:
+                                row = policy.dispatch(d, k)
+                                problem = problem or negative_cell(row, n, d)
+                                received += row
+                    if not unit:
                         # Sizes are consumed dispatcher-major, within a
                         # dispatcher in server order -- the C-order of
-                        # the cell counts; a prefix sum over the flat
-                        # size vector yields every cell's unit total.
-                        bounds = np.concatenate(([0], np.cumsum(size_rows[i])))
-                        cell_ends = np.cumsum(counts)
-                        cell_units = bounds[cell_ends] - bounds[cell_ends - counts]
-                        received = cell_units.reshape(m, n).sum(axis=0)
-                        job_servers.append(np.repeat(cell_server, counts))
-                        job_rounds.append(np.full(round_total, t, dtype=np.int64))
+                        # the dispatch matrix, whose non-empty cells
+                        # alone lay the round's jobs out.
+                        try:
+                            received, servers = sized_layout(rows.ravel(), size_rows[i], n)
+                        except ValueError as exc:
+                            problem = str(exc)
+                        else:
+                            job_servers.append(servers)
+                            job_rounds.append(np.full(round_total, t, dtype=np.int64))
+                    elif problem is None and int(received.sum()) != round_total:
+                        problem = (
+                            f"assigned {int(received.sum())} jobs for a round "
+                            f"of {round_total}"
+                        )
+                    if problem is not None:
+                        raise ValueError(f"{policy.name}, round {t}: {problem}")
                     received_block[i] = received
                     queues += received
 

@@ -1,14 +1,16 @@
 """Tests for the greedy batch assignment (the JSQ/SED inner loop)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import dispatch_instances
+from _helpers import dispatch_instances, server_instances
 from repro.policies.greedy import (
     greedy_batch_assign,
     greedy_batch_assign_heap,
     greedy_certificate_ok,
+    greedy_rows_for_batches,
 )
 
 
@@ -118,3 +120,33 @@ class TestVectorizedAssign:
 
     def test_certificate_rejects_negative_counts(self):
         assert not greedy_certificate_ok(np.zeros(2), np.ones(2), np.array([-1, 2]))
+
+
+class TestRowsForBatches:
+    """The whole-round path (one validation, one sort and one IWL pass
+    per round) equals the per-dispatcher public API bit for bit."""
+
+    @given(
+        server_instances(max_servers=20),
+        st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=12),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_per_dispatcher_assign(self, instance, batch, jsq):
+        queues, rates = instance
+        if jsq:
+            rates = np.ones_like(rates)
+        batch = np.array(batch, dtype=np.int64)
+        rows = greedy_rows_for_batches(queues, rates, batch)
+        assert rows.dtype == np.int64
+        assert rows.shape == (batch.size, queues.size)
+        for d, k in enumerate(batch):
+            np.testing.assert_array_equal(
+                rows[d], greedy_batch_assign(queues, rates, int(k))
+            )
+
+    def test_round_still_validated(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            greedy_rows_for_batches(np.array([-1, 0]), np.ones(2), np.array([0, 2]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            greedy_rows_for_batches(np.zeros(2), np.array([1.0, 0.0]), np.array([1]))

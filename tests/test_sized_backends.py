@@ -181,6 +181,24 @@ class TestBitExactness:
         b = run_once(policy, sizes, "fast", seed=11, rounds=300)
         assert_identical(a, b)
 
+    @pytest.mark.parametrize("policy", ["rr", "wrr", "jsq", "scd"])
+    def test_wide_fleet_identical(self, policy):
+        """200 servers x 50 dispatchers: each round fills a few hundred of
+        10,000 cells, so the sparse per-round layout skips most of them."""
+        sizes = GeometricSize(3)
+        a = run_once(policy, sizes, "reference", seed=9, n=200, m=50, rounds=300)
+        b = run_once(policy, sizes, "fast", seed=9, n=200, m=50, rounds=300)
+        assert_identical(a, b)
+
+    def test_rr_batches_beyond_fleet_size(self):
+        """3 servers, 2 dispatchers, about 6 jobs per dispatcher a round:
+        rr's full cycles and wrapped arcs run through the sized engine."""
+        sizes = GeometricSize(1.5)
+        a = run_once("rr", sizes, "reference", seed=4, n=3, m=2, rho=0.98, rounds=400)
+        b = run_once("rr", sizes, "fast", seed=4, n=3, m=2, rho=0.98, rounds=400)
+        assert a.total_jobs > 2 * 3 * 400  # batches above n are the norm
+        assert_identical(a, b)
+
     def test_non_chunk_aligned_rounds(self):
         """Rounds not divisible by the block size exercise the tail block."""
         sizes = GeometricSize(3.0)
