@@ -9,39 +9,44 @@ round's *queue dynamics* need only the per-server totals: the engine can
 run a whole block of rounds updating ``queues += received - done`` and
 hand the store the block's ``(rounds, servers)`` admission and
 completion matrices afterwards.  FIFO response times are then recovered
-for every server at once by a prefix-sum argument:
+for every server at once on the *departed axis*:
 
 * Within one server, jobs occupy FIFO *positions* ``1..N``; batch ``j``
   covers the position interval ``(B_{j-1}, B_j]`` of the cumulative
-  batch counts, and the departures of round ``u`` cover
-  ``(D_{u-1}, D_u]`` of the cumulative completion counts.
-* Laying the servers' position axes end-to-end turns both families into
-  global sorted boundary sequences; merging them decomposes the block's
-  completions into segments, each belonging to exactly one batch and
-  one departure round -- precisely the ``(response_time, count)`` pairs
-  the reference engine records one at a time.
-* Segments not covered by any departure (guarded by per-server sentinel
-  boundaries) are the carry: batches still queued when the block ends,
-  re-stored in server-major FIFO order for the next block.
+  batch counts.  The block drains the prefix ``(0, d]``, ``d`` the
+  server's completions in the block, and round ``u``'s departures cover
+  ``(D_{u-1}, D_u]`` of it.
+* The departed axis lays the servers' drained prefixes end to end, so
+  its length is the block's departures, not the queued jobs.  The
+  departure ends on it are one running total of the non-zero cells of
+  the completion matrix, read server-major.
+* Marking those ends and the batch ends clipped to ``d`` in one flag
+  array cuts the axis into segments, each in exactly one batch and one
+  departure round -- precisely the ``(response_time, count)`` pairs the
+  reference engine records one at a time, in the same server-major,
+  position-ascending order.  Counting the flags of each kind gives each
+  segment's batch and round.
+* What lies past ``d`` is the carry: ``B_j - max(B_{j-1}, d)`` of each
+  batch still queued when the block ends, re-stored in server-major
+  FIFO order for the next block.
 
-Total work per block is a handful of numpy operations of size
-O(batches + completions) -- the same asymptotic count as the pairs the
-reference records -- with none of the per-round small-array overhead.
-The result is bit-identical to draining the reference queues: both
-produce the same multiset of (response time, count) records and the
-same leftover batches.
+Total work per block is a handful of linear numpy passes over the
+batches, the non-zero matrix cells and the departed jobs, with no sort
+and none of the per-round small-array overhead.  The result is
+bit-identical to draining the reference queues: both produce the same
+(response time, count) records and the same leftover batches.
 
 :class:`SizedBatchQueueStore` is the unit-denominated analog for the
 sized-job engine (:mod:`repro.sim.sized`): the FIFO position axis counts
 *work units* instead of jobs, each pending entry is one job ``(arrival
 round, remaining units)``, and a job's response time is attributed to
-the round its *last* unit drains -- one ``searchsorted`` of the jobs'
-cumulative unit boundaries into the block's merged departure boundaries
-recovers every completion at once.  The two stores share their
-geometry, churn-mask guard, FIFO carry merge and departure-boundary
-construction (:class:`_FifoStore`); they differ only in what one
-pending entry is and when a completion is recorded.  Which store a run
-uses follows from its job sizes: unit-size jobs stay batch-granular.
+the round its *last* unit drains.  A job whose end lies within ``d``
+has completed, and one ``searchsorted`` of the completed jobs' ends
+into the departure ends on the departed axis finds their rounds.  The
+two stores share their geometry, churn-mask guard and FIFO carry merge
+(:class:`_FifoStore`) and the cell extraction; they differ only in what
+one pending entry is and when a completion is recorded.  Which store a
+run uses follows from its job sizes: unit-size jobs stay batch-granular.
 
 Both stores split :meth:`process_block` into input checks and a
 ``_resolve`` step, which :mod:`repro.sim.compiled` overrides with a
@@ -126,78 +131,38 @@ class _FifoStore:
     def _merge(
         self,
         old_amounts: np.ndarray,
-        new_servers: np.ndarray,
+        new_lengths: np.ndarray,
         new_rounds: np.ndarray,
         new_amounts: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Carried entries, then the block's, per server (server-major).
 
-        ``new_*`` are the block's entries sorted server-major.  Returns
-        the merged ``(rounds, amounts, server)`` arrays.
+        ``new_*`` are the block's entries sorted server-major,
+        ``new_lengths`` their number per server.  Returns the merged
+        ``(rounds, amounts, server)`` arrays.
         """
-        n = self._n
-        new_lengths = np.bincount(new_servers, minlength=n)
-        old_lengths = self._lengths
-        total_lengths = old_lengths + new_lengths
-        count = int(total_lengths.sum())
-        rounds = np.empty(count, dtype=np.int64)
-        amounts = np.empty(count, dtype=np.int64)
-        dest_base = np.cumsum(total_lengths) - total_lengths
-        old_total = self._rounds.size
-        if old_total:
-            old_base = np.cumsum(old_lengths) - old_lengths
-            old_dest = (
-                np.repeat(dest_base, old_lengths)
-                + np.arange(old_total)
-                - np.repeat(old_base, old_lengths)
-            )
-            rounds[old_dest] = self._rounds
-            amounts[old_dest] = old_amounts
-        if new_amounts.size:
-            new_base = np.cumsum(new_lengths) - new_lengths
-            new_dest = (
-                np.repeat(dest_base + old_lengths, new_lengths)
-                + np.arange(new_amounts.size)
-                - np.repeat(new_base, new_lengths)
-            )
-            rounds[new_dest] = new_rounds
-            amounts[new_dest] = new_amounts
-        return rounds, amounts, np.repeat(np.arange(n), total_lengths)
-
-    @staticmethod
-    def _departures(
-        start_round: int,
-        done_block: np.ndarray,
-        server_base: np.ndarray,
-        totals: np.ndarray,
-        dep_totals: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Departure boundaries on the global position axis, sorted.
-
-        Server ``s`` occupies ``(server_base[s], server_base[s] +
-        totals[s]]``; each round's completions end at one boundary, and
-        one sentinel per server with work left over marks "still queued"
-        so every position maps to a departure round or the carry.
-        Returns ``(ends, rounds, still_queued)``.
-        """
-        done_by_server = done_block.T
-        dep_srv, dep_col = np.nonzero(done_by_server)
-        dep_counts = done_by_server[dep_srv, dep_col]
-        dep_base = np.cumsum(dep_totals) - dep_totals
-        dep_ends = server_base[dep_srv] + np.cumsum(dep_counts) - dep_base[dep_srv]
-        sentinel_srv = np.flatnonzero(totals - dep_totals)
-        ends = np.concatenate([dep_ends, server_base[sentinel_srv] + totals[sentinel_srv]])
-        rounds = np.concatenate(
-            [start_round + dep_col, np.zeros(sentinel_srv.size, dtype=np.int64)]
+        # Each server's carried entries go in ahead of its first new one.
+        at = np.repeat(np.cumsum(new_lengths) - new_lengths, self._lengths)
+        return (
+            np.insert(new_rounds, at, self._rounds),
+            np.insert(new_amounts, at, old_amounts),
+            np.repeat(np.arange(self._n), self._lengths + new_lengths),
         )
-        still_queued = np.concatenate(
-            [
-                np.zeros(dep_ends.size, dtype=bool),
-                np.ones(sentinel_srv.size, dtype=bool),
-            ]
-        )
-        order = np.argsort(ends, kind="stable")
-        return ends[order], rounds[order], still_queued[order]
+
+
+def _cells(start_round: int, block: np.ndarray):
+    """A ``(rounds, servers)`` block's non-zero cells, server-major.
+
+    Returns each cell's round and value, and the cells per server.
+    """
+    by_server = np.ascontiguousarray(block.T, dtype=np.int64)
+    nonzero = by_server != 0
+    cells = np.flatnonzero(nonzero)
+    return (
+        start_round + cells % block.shape[0],
+        by_server.ravel()[cells],
+        nonzero.sum(axis=1),
+    )
 
 
 def _emit(histogram, response_sink, dep_rounds, times, counts, servers) -> None:
@@ -297,53 +262,50 @@ class BatchQueueStore(_FifoStore):
     ) -> None:
         # Batch sequence per server: carried batches first, then the
         # block's admissions in round order (server-major throughout).
-        received_by_server = received_block.T
-        new_srv, new_col = np.nonzero(received_by_server)
+        new_rounds, new_counts, new_lengths = _cells(start_round, received_block)
         batch_rounds, batch_counts, batch_server = self._merge(
-            self._counts,
-            new_srv,
-            start_round + new_col,
-            received_by_server[new_srv, new_col],
+            self._counts, new_lengths, new_rounds, new_counts
         )
-        server_base = np.cumsum(totals) - totals
-        batch_ends = np.cumsum(batch_counts)
-        dep_ends, dep_rounds, still_queued = self._departures(
-            start_round, done_block, server_base, totals, dep_totals
-        )
-
-        # Merge both boundary families into elementary segments; each
-        # non-empty segment lies in exactly one batch and one departure
-        # interval (duplicate boundaries yield empty segments, dropped).
-        ends = np.sort(np.concatenate([batch_ends, dep_ends]))
-        starts = np.concatenate([[0], ends[:-1]])
-        seg_len = ends - starts
-        nonempty = seg_len > 0
-        starts = starts[nonempty]
-        seg_len = seg_len[nonempty]
-        seg_batch = np.searchsorted(batch_ends, starts, side="right")
-        seg_dep = np.searchsorted(dep_ends, starts, side="right")
+        local_end = np.cumsum(batch_counts) - (np.cumsum(totals) - totals)[batch_server]
+        drained = dep_totals[batch_server]
 
         if histogram is not None or response_sink is not None:
-            dep_round = dep_rounds[seg_dep]
-            record = ~still_queued[seg_dep] & (dep_round >= warmup)
+            # Batches reaching into their server's drained region, their
+            # ends clipped to it, on the departed axis.  Together with
+            # the departure ends these cut it into segments, each in one
+            # batch and one departure round: a record apiece.
+            served = local_end - batch_counts < drained
+            served_server = batch_server[served]
+            dep_rounds, dep_counts, _ = _cells(start_round, done_block)
+            dep_base = np.cumsum(dep_totals) - dep_totals
+            marks = np.zeros(int(dep_totals.sum()) + 1, dtype=np.int8)
+            batch_ends = np.minimum(local_end[served], drained[served])
+            marks[batch_ends + dep_base[served_server]] = 2
+            marks[np.cumsum(dep_counts)] += 1
+            seg_ends = np.flatnonzero(marks)
+            kinds = marks[seg_ends]
+            is_batch = kinds >> 1
+            is_dep = kinds & 1
+            seg_batch = np.cumsum(is_batch) - is_batch
+            dep_round = dep_rounds[np.cumsum(is_dep) - is_dep]
+            record = dep_round >= warmup
+            seg_batch = seg_batch[record]
+            dep_round = dep_round[record]
             _emit(
                 histogram,
                 response_sink,
-                dep_round[record],
-                dep_round[record] - batch_rounds[seg_batch[record]] + 1,
-                seg_len[record],
-                batch_server[seg_batch[record]],
+                dep_round,
+                dep_round - batch_rounds[served][seg_batch] + 1,
+                np.diff(seg_ends, prepend=0)[record],
+                served_server[seg_batch],
             )
 
-        # Segments mapped to a sentinel are the carry; global segment
-        # order is server-major FIFO, and each pending batch contributes
-        # at most one segment (no departure boundary splits it), so the
-        # carry stays batch-granular.
-        left = still_queued[seg_dep]
-        left_batches = seg_batch[left]
-        self._rounds = batch_rounds[left_batches]
-        self._counts = seg_len[left]
-        self._lengths = np.bincount(batch_server[left_batches], minlength=self._n)
+        # The carry: what of each batch lies past its server's drained
+        # region, still batch-granular and server-major FIFO.
+        left = local_end > drained
+        self._rounds = batch_rounds[left]
+        self._counts = np.minimum(batch_counts[left], (local_end - drained)[left])
+        self._lengths = np.bincount(batch_server[left], minlength=self._n)
         self._jobs = totals - dep_totals
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -448,44 +410,42 @@ class SizedBatchQueueStore(_FifoStore):
         # Job sequence per server: carried jobs first (the head may be
         # partially served), then the block's admissions (server-major).
         rounds_merged, units_merged, job_server = self._merge(
-            self._remaining, job_servers, job_rounds, job_sizes
+            self._remaining,
+            np.bincount(job_servers, minlength=self._n),
+            job_rounds,
+            job_sizes,
         )
-        # Job j ends at the cumulative unit count through j on the
-        # global unit-position axis.
-        server_base = np.cumsum(totals) - totals
-        job_ends = np.cumsum(units_merged)
-        dep_ends, dep_rounds, still_queued = self._departures(
-            start_round, done_block, server_base, totals, dep_totals
-        )
-
-        # A job finishes in the departure interval containing its last
-        # unit: the first boundary >= its cumulative end position.
-        interval = np.searchsorted(dep_ends, job_ends, side="left")
-        completed = ~still_queued[interval]
+        # Job j ends at its server's cumulative unit count through j; it
+        # completes if that end lies in the server's drained region.
+        local_end = np.cumsum(units_merged) - (np.cumsum(totals) - totals)[job_server]
+        drained = dep_totals[job_server]
+        completed = local_end <= drained
 
         if histogram is not None or response_sink is not None:
-            dep_round = dep_rounds[interval]
-            record = completed & (dep_round >= warmup)
+            # It finishes in the departure round whose end is the first
+            # one at or past its own, on the departed axis.
+            done_server = job_server[completed]
+            dep_rounds, dep_counts, _ = _cells(start_round, done_block)
+            dep_base = np.cumsum(dep_totals) - dep_totals
+            job_ends = local_end[completed] + dep_base[done_server]
+            dep_round = dep_rounds[np.searchsorted(np.cumsum(dep_counts), job_ends)]
+            record = dep_round >= warmup
+            dep_round = dep_round[record]
             _emit(
                 histogram,
                 response_sink,
-                dep_round[record],
-                dep_round[record] - rounds_merged[record] + 1,
-                np.ones(int(record.sum()), dtype=np.int64),
-                job_server[record],
+                dep_round,
+                dep_round - rounds_merged[completed][record] + 1,
+                np.ones(dep_round.size, dtype=np.int64),
+                done_server[record],
             )
 
         # Carry: jobs whose last unit outlives the block's completions;
         # the head job of each leftover server may be partially served.
         carried = ~completed
-        drained_end = server_base + dep_totals
-        job_starts = job_ends - units_merged
-        carried_srv = job_server[carried]
         self._rounds = rounds_merged[carried]
-        self._remaining = job_ends[carried] - np.maximum(
-            job_starts[carried], drained_end[carried_srv]
-        )
-        self._lengths = np.bincount(carried_srv, minlength=self._n)
+        self._remaining = np.minimum(units_merged[carried], (local_end - drained)[carried])
+        self._lengths = np.bincount(job_server[carried], minlength=self._n)
         self._units = totals - dep_totals
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -310,6 +310,14 @@ def _check_received_block(
         )
 
 
+def _record_totals(series, start_total: int, received_block, done_block) -> None:
+    """Record a block's per-round total queue lengths in one call."""
+    totals = (received_block - done_block).sum(axis=1)
+    np.cumsum(totals, out=totals)
+    totals += start_total
+    series.record_many(totals)
+
+
 def drive(
     sim,
     *,
@@ -381,13 +389,11 @@ def drive(
                 np.cumsum(received_block - done_block, axis=0, out=queue_block)
                 queue_block += start_queues
             if series is not None:
-                totals = (received_block - done_block).sum(axis=1)
-                np.cumsum(totals, out=totals)
-                totals += start_total
-                series.record_many(totals)
+                _record_totals(series, start_total, received_block, done_block)
         elif batching and (batched := policy.dispatch_rounds(batch_block)) is not None:
             _check_received_block(policy, batched, batch_block, n, chunk_start)
             received_block[:] = batched
+            start_total = int(queues.sum()) if series is not None else 0
             # The policy is out of the loop; only the queue / departure
             # recurrence remains, round by round.
             for i in range(chunk):
@@ -395,10 +401,10 @@ def drive(
                 done = np.minimum(queues, capacity_block[i])
                 done_block[i] = done
                 queues -= done
-                if series is not None:
-                    series.record(int(queues.sum()))
                 if queue_block is not None:
                     queue_block[i] = queues
+            if series is not None:
+                _record_totals(series, start_total, received_block, done_block)
         else:
             for i in range(chunk):
                 t = chunk_start + i

@@ -1,18 +1,18 @@
 """The ``compiled`` round kernel: numba-jitted hot paths, graceful fallback.
 
 The fast kernel spends its time in two places: the per-block FIFO
-departure resolution (:mod:`repro.sim.batchstore` -- a dozen numpy
-passes building merged boundary arrays) and, for cheap deterministic
-policies, the per-round ``dispatch_round`` Python overhead.  This module
-compiles both:
+departure resolution (:mod:`repro.sim.batchstore` -- a dozen linear
+numpy passes over the block's batches and departed jobs) and, for cheap
+deterministic policies, the per-round ``dispatch_round`` Python
+overhead.  This module compiles both:
 
 * :class:`CompiledBatchQueueStore` / :class:`CompiledSizedBatchQueueStore`
   subclass the numpy stores and resolve each block with a single jitted
   two-pointer walk per server (:func:`_resolve_unsized` /
   :func:`_resolve_sized`).  The walk emits the **same multiset of
   response records in the same server-major, position-ascending order**
-  as the prefix-sum implementation, and leaves the identical carry
-  arrays, so the stores are drop-in bit-identical -- checkpoints
+  as the numpy stores' departed-axis resolution, and leaves the
+  identical carry arrays, so the stores are drop-in bit-identical -- checkpoints
   round-trip between them and the numpy stores.
 * :func:`compiled_round_kernel_for` provides whole-block native round
   loops for the two queue-oblivious deterministic policies (``rr``,
@@ -108,9 +108,9 @@ def _resolve_unsized(
     """Two-pointer FIFO drain of one block, per server.
 
     Walking batches (carried first, then admissions in round order)
-    against the completion stream visits exactly the elementary segments
-    the numpy store's merged-boundary construction enumerates, in the
-    same global position order; each segment becomes one response record
+    against the completion stream visits exactly the segments the numpy
+    store cuts its departed axis into, in the same order, and then the
+    carried remainder of each batch; each becomes one response record
     or one carried batch.
     """
     length, n = received_block.shape

@@ -15,8 +15,11 @@ The contract under test (ISSUE 2 acceptance):
   of ``record`` calls.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from _helpers import collect_records, replay_store_scenario, store_scenarios
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +33,7 @@ from repro.sim.backends import (
     make_backend,
 )
 from repro.sim.batchstore import BatchQueueStore
+from repro.sim.compiled import CompiledBatchQueueStore
 from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.metrics import ResponseTimeHistogram
 from repro.sim.server import ServerQueue
@@ -441,6 +445,58 @@ class TestBatchQueueStore:
         np.testing.assert_array_equal(histogram.counts, expected_hist.counts)
         np.testing.assert_array_equal(store.queued_jobs(), expected_queued)
         assert int(store.queued_jobs().sum()) == int(queued.sum())
+
+    @pytest.mark.parametrize(
+        "make_store",
+        [BatchQueueStore, lambda n: CompiledBatchQueueStore(n, force=True)],
+        ids=["numpy", "walk"],
+    )
+    @given(case=store_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_record_stream_and_carry_match_server_queues(self, make_store, case):
+        """Every record -- round, time, count, server, in order -- and the
+        carried batches equal the per-server deque replay's."""
+        n, warmup, blocks = case
+        store = make_store(n)
+        queues = [ServerQueue() for _ in range(n)]
+        expected = replay_store_scenario(
+            queues, warmup, blocks, lambda queue, t, sizes: queue.admit(t, sizes.size)
+        )
+        for (start, mask, rounds, done), want in zip(blocks, expected):
+            received = np.array(
+                [np.bincount(servers, minlength=n) for servers, _ in rounds]
+            )
+            got = []
+            store.set_capacity_mask(mask)
+            store.process_block(
+                start, received, done, None, warmup,
+                response_sink=collect_records(got),
+            )
+            assert got == want
+            carried = [batch for queue in queues for batch in queue._batches]
+            assert store._rounds.tolist() == [r for r, _ in carried]
+            assert store._counts.tolist() == [c for _, c in carried]
+            assert store._lengths.tolist() == [len(q._batches) for q in queues]
+            assert store._jobs.tolist() == [q.length for q in queues]
+
+    def test_scratch_memory_scales_with_departures(self):
+        """A 10**12-job backlog drained a few jobs per round resolves in
+        memory bounded by the block's departures, not its queue depth."""
+        store = BatchQueueStore(4)
+        backlog = np.array([[10**12, 0, 5, 0]], dtype=np.int64)
+        store.process_block(0, backlog, np.zeros_like(backlog), None)
+        done = np.zeros((256, 4), dtype=np.int64)
+        done[:, 0] = 3
+        histogram = ResponseTimeHistogram()
+        tracemalloc.start()
+        try:
+            store.process_block(1, np.zeros_like(done), done, histogram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert histogram.total == 3 * 256
+        assert store.queued_jobs().tolist() == [10**12 - 3 * 256, 0, 5, 0]
 
     def test_overdrain_detected(self):
         store = BatchQueueStore(2)

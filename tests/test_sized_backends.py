@@ -22,14 +22,18 @@ The contract under test:
   CLI all accept sized + ``"fast"``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from _helpers import collect_records, replay_store_scenario, store_scenarios
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.policies.base import Policy, SystemContext, has_native_dispatch_round, make_policy
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.batchstore import SizedBatchQueueStore
+from repro.sim.compiled import CompiledSizedBatchQueueStore
 from repro.sim.metrics import ResponseTimeHistogram
 from repro.sim.service import GeometricService
 from repro.sim.sized import (
@@ -483,6 +487,74 @@ class TestSizedBatchQueueStore:
         np.testing.assert_array_equal(histogram.counts, expected_hist.counts)
         np.testing.assert_array_equal(store.queued_units(), expected_units)
         assert int(store.queued_units().sum()) == int(queued_units.sum())
+
+    @pytest.mark.parametrize(
+        "make_store",
+        [SizedBatchQueueStore, lambda n: CompiledSizedBatchQueueStore(n, force=True)],
+        ids=["numpy", "walk"],
+    )
+    @given(case=store_scenarios(max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_record_stream_and_carry_match_sized_server_queues(self, make_store, case):
+        """Every job record -- round, time, count, server, in order -- and
+        the carried jobs equal the per-server deque replay's."""
+        n, warmup, blocks = case
+        store = make_store(n)
+        queues = [SizedServerQueue() for _ in range(n)]
+        expected = replay_store_scenario(
+            queues, warmup, blocks, lambda queue, t, sizes: queue.admit(t, sizes)
+        )
+        for (start, mask, rounds, done), want in zip(blocks, expected):
+            servers = np.concatenate([srv for srv, _ in rounds])
+            arrived = np.repeat(
+                start + np.arange(len(rounds)), [srv.size for srv, _ in rounds]
+            )
+            order = np.argsort(servers, kind="stable")
+            got = []
+            store.set_capacity_mask(mask)
+            store.process_block(
+                start,
+                servers[order],
+                arrived[order],
+                np.concatenate([sizes for _, sizes in rounds])[order],
+                done,
+                None,
+                warmup,
+                response_sink=collect_records(got),
+            )
+            assert got == want
+            carried = [job for queue in queues for job in queue._jobs]
+            assert store._rounds.tolist() == [r for r, _ in carried]
+            assert store._remaining.tolist() == [u for _, u in carried]
+            assert store._lengths.tolist() == [len(q._jobs) for q in queues]
+            assert store._units.tolist() == [q.units for q in queues]
+
+    def test_scratch_memory_scales_with_departures(self):
+        """A 10**12-unit job drained a few units per round resolves in
+        memory bounded by the block's departures, not its size."""
+        store = SizedBatchQueueStore(4)
+        store.process_block(
+            0,
+            np.array([0, 0, 2]),
+            np.array([0, 0, 0]),
+            np.array([10**12, 1, 5]),
+            np.zeros((1, 4), dtype=np.int64),
+            None,
+        )
+        done = np.zeros((256, 4), dtype=np.int64)
+        done[:, 0] = 3
+        histogram = ResponseTimeHistogram()
+        empty = np.empty(0, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            store.process_block(1, empty, empty, empty, done, histogram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert histogram.total == 0
+        assert store.queued_units().tolist() == [10**12 + 1 - 3 * 256, 0, 5, 0]
+        assert store.job_counts().tolist() == [2, 0, 1, 0]
 
     def test_partial_head_job_carries_across_blocks(self):
         """A job half-served at a block boundary finishes with the
