@@ -16,25 +16,27 @@ for every server at once on the *departed axis*:
   batch counts.  The block drains the prefix ``(0, d]``, ``d`` the
   server's completions in the block, and round ``u``'s departures cover
   ``(D_{u-1}, D_u]`` of it.
-* The departed axis lays the servers' drained prefixes end to end, so
-  its length is the block's departures, not the queued jobs.  The
+* The departed axis lays the servers' drained prefixes end to end; only
+  boundaries on it are ever stored, never one entry per job.  The
   departure ends on it are one running total of the non-zero cells of
   the completion matrix, read server-major.
-* Marking those ends and the batch ends clipped to ``d`` in one flag
-  array cuts the axis into segments, each in exactly one batch and one
-  departure round -- precisely the ``(response_time, count)`` pairs the
-  reference engine records one at a time, in the same server-major,
-  position-ascending order.  Counting the flags of each kind gives each
-  segment's batch and round.
+* Those ends and the batch ends clipped to ``d`` cut the axis into
+  segments, each in exactly one batch and one departure round --
+  precisely the ``(response_time, count)`` pairs the reference engine
+  records one at a time, in the same server-major, position-ascending
+  order.  Both lists of ends ascend, so one stable sort of the two is a
+  linear merge (timsort finds the two runs), and counting the ends of
+  each kind before a segment gives its batch and round.
 * What lies past ``d`` is the carry: ``B_j - max(B_{j-1}, d)`` of each
   batch still queued when the block ends, re-stored in server-major
   FIFO order for the next block.
 
 Total work per block is a handful of linear numpy passes over the
-batches, the non-zero matrix cells and the departed jobs, with no sort
-and none of the per-round small-array overhead.  The result is
-bit-identical to draining the reference queues: both produce the same
-(response time, count) records and the same leftover batches.
+batches and the non-zero matrix cells, however many jobs each holds,
+with none of the per-round small-array overhead; scratch memory scales
+the same way.  The result is bit-identical to draining the reference
+queues: both produce the same (response time, count) records and the
+same leftover batches.
 
 :class:`SizedBatchQueueStore` is the unit-denominated analog for the
 sized-job engine (:mod:`repro.sim.sized`): the FIFO position axis counts
@@ -153,16 +155,11 @@ class _FifoStore:
 def _cells(start_round: int, block: np.ndarray):
     """A ``(rounds, servers)`` block's non-zero cells, server-major.
 
-    Returns each cell's round and value, and the cells per server.
+    Returns each cell's round and value.
     """
-    by_server = np.ascontiguousarray(block.T, dtype=np.int64)
-    nonzero = by_server != 0
-    cells = np.flatnonzero(nonzero)
-    return (
-        start_round + cells % block.shape[0],
-        by_server.ravel()[cells],
-        nonzero.sum(axis=1),
-    )
+    by_server = np.ascontiguousarray(block.T, dtype=np.int64).ravel()
+    cells = np.flatnonzero(by_server != 0)
+    return start_round + cells % block.shape[0], by_server[cells]
 
 
 def _emit(histogram, response_sink, dep_rounds, times, counts, servers) -> None:
@@ -262,9 +259,9 @@ class BatchQueueStore(_FifoStore):
     ) -> None:
         # Batch sequence per server: carried batches first, then the
         # block's admissions in round order (server-major throughout).
-        new_rounds, new_counts, new_lengths = _cells(start_round, received_block)
+        new_rounds, new_counts = _cells(start_round, received_block)
         batch_rounds, batch_counts, batch_server = self._merge(
-            self._counts, new_lengths, new_rounds, new_counts
+            self._counts, np.count_nonzero(received_block, axis=0), new_rounds, new_counts
         )
         local_end = np.cumsum(batch_counts) - (np.cumsum(totals) - totals)[batch_server]
         drained = dep_totals[batch_server]
@@ -276,27 +273,34 @@ class BatchQueueStore(_FifoStore):
             # batch and one departure round: a record apiece.
             served = local_end - batch_counts < drained
             served_server = batch_server[served]
-            dep_rounds, dep_counts, _ = _cells(start_round, done_block)
+            dep_rounds, dep_counts = _cells(start_round, done_block)
             dep_base = np.cumsum(dep_totals) - dep_totals
-            marks = np.zeros(int(dep_totals.sum()) + 1, dtype=np.int8)
-            batch_ends = np.minimum(local_end[served], drained[served])
-            marks[batch_ends + dep_base[served_server]] = 2
-            marks[np.cumsum(dep_counts)] += 1
-            seg_ends = np.flatnonzero(marks)
-            kinds = marks[seg_ends]
-            is_batch = kinds >> 1
-            is_dep = kinds & 1
-            seg_batch = np.cumsum(is_batch) - is_batch
-            dep_round = dep_rounds[np.cumsum(is_dep) - is_dep]
-            record = dep_round >= warmup
-            seg_batch = seg_batch[record]
-            dep_round = dep_round[record]
+            batch_ends = np.minimum(local_end[served], drained[served]) + dep_base[served_server]
+            # Both end lists ascend, so sorting the two, tagged in the low
+            # bit, is a merge: ``stable`` is timsort, which finds the two
+            # runs and merges them in one linear pass.  A batch end sorts
+            # ahead of an equal departure end; the empty segment between
+            # them is dropped below.
+            ends = np.sort(
+                np.concatenate([batch_ends << 1, (np.cumsum(dep_counts) << 1) | 1]),
+                kind="stable",
+            )
+            # A segment's departure index counts the departure ends
+            # before it; its batch index, the batch ends before it, is
+            # its position less that count.
+            is_dep = ends & 1
+            seg_dep = np.cumsum(is_dep) - is_dep
+            seg_counts = np.diff(ends >> 1, prepend=0)
+            seg = np.flatnonzero((seg_counts > 0) & (dep_rounds[seg_dep] >= warmup))
+            seg_dep = seg_dep[seg]
+            seg_batch = seg - seg_dep
+            dep_round = dep_rounds[seg_dep]
             _emit(
                 histogram,
                 response_sink,
                 dep_round,
                 dep_round - batch_rounds[served][seg_batch] + 1,
-                np.diff(seg_ends, prepend=0)[record],
+                seg_counts[seg],
                 served_server[seg_batch],
             )
 
@@ -425,7 +429,7 @@ class SizedBatchQueueStore(_FifoStore):
             # It finishes in the departure round whose end is the first
             # one at or past its own, on the departed axis.
             done_server = job_server[completed]
-            dep_rounds, dep_counts, _ = _cells(start_round, done_block)
+            dep_rounds, dep_counts = _cells(start_round, done_block)
             dep_base = np.cumsum(dep_totals) - dep_totals
             job_ends = local_end[completed] + dep_base[done_server]
             dep_round = dep_rounds[np.searchsorted(np.cumsum(dep_counts), job_ends)]

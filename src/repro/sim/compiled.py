@@ -2,7 +2,7 @@
 
 The fast kernel spends its time in two places: the per-block FIFO
 departure resolution (:mod:`repro.sim.batchstore` -- a dozen linear
-numpy passes over the block's batches and departed jobs) and, for cheap
+numpy passes over the block's batches and non-zero cells) and, for cheap
 deterministic policies, the per-round ``dispatch_round`` Python
 overhead.  This module compiles both:
 

@@ -498,6 +498,32 @@ class TestBatchQueueStore:
         assert histogram.total == 3 * 256
         assert store.queued_jobs().tolist() == [10**12 - 3 * 256, 0, 5, 0]
 
+    def test_scratch_memory_scales_with_cells_not_jobs(self):
+        """High-capacity servers draining 10**5 jobs per round resolve in
+        memory bounded by the block's batches and non-zero cells, not by
+        the jobs they hold."""
+        store = BatchQueueStore(4)
+        backlog = np.array([[10**12, 0, 10**12, 0]], dtype=np.int64)
+        store.process_block(0, backlog, np.zeros_like(backlog), None)
+        received = np.zeros((256, 4), dtype=np.int64)
+        received[::2, 2] = 10**5
+        done = np.zeros((256, 4), dtype=np.int64)
+        done[:, 0] = 10**5
+        done[:, 2] = 10**5
+        histogram = ResponseTimeHistogram()
+        tracemalloc.start()
+        try:
+            store.process_block(1, received, done, histogram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert histogram.total == 2 * 256 * 10**5
+        assert store.queued_jobs().tolist() == [
+            10**12 - 256 * 10**5, 0, 10**12 - 128 * 10**5, 0
+        ]
+        assert store.batch_counts().tolist() == [1, 0, 129, 0]
+
     def test_overdrain_detected(self):
         store = BatchQueueStore(2)
         received = np.array([[3, 0]], dtype=np.int64)

@@ -556,6 +556,38 @@ class TestSizedBatchQueueStore:
         assert store.queued_units().tolist() == [10**12 + 1 - 3 * 256, 0, 5, 0]
         assert store.job_counts().tolist() == [2, 0, 1, 0]
 
+    def test_scratch_memory_scales_with_cells_not_units(self):
+        """High-capacity servers draining 10**5 units per round resolve in
+        memory bounded by the block's jobs and non-zero cells, not by the
+        units they hold."""
+        store = SizedBatchQueueStore(4)
+        store.process_block(
+            0,
+            np.array([0, 2, 2]),
+            np.array([0, 0, 0]),
+            np.array([10**12, 10**7, 10**12]),
+            np.zeros((1, 4), dtype=np.int64),
+            None,
+        )
+        done = np.zeros((256, 4), dtype=np.int64)
+        done[:, 0] = 10**5
+        done[:, 2] = 10**5
+        histogram = ResponseTimeHistogram()
+        empty = np.empty(0, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            store.process_block(1, empty, empty, empty, done, histogram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        # Server 2's 10**7-unit job drains in rounds 1..100.
+        assert histogram.total == 1
+        assert store.queued_units().tolist() == [
+            10**12 - 256 * 10**5, 0, 10**12 + 10**7 - 256 * 10**5, 0
+        ]
+        assert store.job_counts().tolist() == [1, 0, 1, 0]
+
     def test_partial_head_job_carries_across_blocks(self):
         """A job half-served at a block boundary finishes with the
         response time of its *last* unit's round."""
